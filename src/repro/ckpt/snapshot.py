@@ -195,6 +195,7 @@ def _capture_runtime(kernel) -> Tuple[
     for proc in kernel.processes:
         chan_desc[proc.exit_channel] = ("proc_exit", proc.pid)
         chan_desc[proc.signal_channel] = ("proc_signal", proc.pid)
+        chan_desc[proc.spawn_channel] = ("proc_spawn", proc.pid)
         for addr, ch in proc.futex_channels.items():
             chan_desc[ch] = ("futex", proc.pid, addr)
     # FIFO-backing pipes are registered on the filesystem, so discovery
@@ -1046,6 +1047,8 @@ def restore(kernel, payload: Dict[str, Any]) -> List[Tuple]:
             return procs_by_pid[desc[1]].exit_channel
         if k0 == "proc_signal":
             return procs_by_pid[desc[1]].signal_channel
+        if k0 == "proc_spawn":
+            return procs_by_pid[desc[1]].spawn_channel
         if k0 == "futex":
             return procs_by_pid[desc[1]].futex_channel(desc[2])
         if k0 == "pipe":
@@ -1238,6 +1241,7 @@ def _restore_sched(sched, rec: Optional[Dict[str, Any]],
                              for b, i, tid, s in rec["bound_heap"]
                              if tid in threads]
         heapq.heapify(sched._bound_heap)
+        sched._killed = {t for t in sched._index if not t.alive}
     elif rec["kind"] == "logical-ref":
         if not isinstance(sched, LogicalClockRefScheduler):
             raise RestoreError("scheduler kind mismatch")

@@ -43,8 +43,18 @@ class HandlerContext:
         self.io_state = tracer.io_state
 
     def execute(self, call: Syscall) -> Outcome:
-        """Run *call* in the kernel as a non-blocking probe."""
-        return self.kernel.tracer_execute(self.thread, call, nonblocking=True)
+        """Run *call* in the kernel as a non-blocking probe.
+
+        A retry that provably blocks again (nothing it waits on was
+        notified since its last would-block) reports ``("block", ...)``
+        without re-running the syscall body; see ``Kernel.unchanged_block``.
+        """
+        thread = self.thread
+        if thread.block_stamp is not None:
+            channels = self.kernel.unchanged_block(thread, call)
+            if channels is not None:
+                return ("block", channels)
+        return self.kernel.tracer_execute(thread, call, nonblocking=True)
 
     def note_progress(self) -> None:
         """Tell the scheduler guest-visible state changed even though the

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..kernel.process import Thread, ThreadState
 
@@ -104,6 +104,10 @@ class SchedulerBase:
         """The thread re-entered the running set after waiting for the
         sibling-serialization token (incremental-index hook)."""
 
+    def note_killed(self, thread: Thread) -> None:
+        """The thread died without being removed (an execve tore it
+        down); it stays a member but no longer counts as live."""
+
     def blocked_count(self) -> int:
         """How many candidates are deterministically deferred (the
         Blocked-queue occupancy sampled into repro.obs)."""
@@ -158,6 +162,9 @@ class LogicalClockScheduler(SchedulerBase):
         #: Min-heap of running lower bounds:
         #: (det_bound + SYSCALL_TICK, index, thread, det_bound).
         self._bound_heap: List[Tuple[float, int, Thread, float]] = []
+        #: Members that died without removal: live_count() is O(1) as
+        #: ``len(_index) - len(_killed)``.
+        self._killed: Set[Thread] = set()
 
     # -- membership -------------------------------------------------------
 
@@ -176,14 +183,12 @@ class LogicalClockScheduler(SchedulerBase):
         if thread in self._index:
             self._index.pop(thread)
             self._fail_seq.pop(thread, None)
+            self._killed.discard(thread)
             # A thread exit is a guest-visible state change (it can
             # unblock wait4 and pipe readers): advance the epoch so
             # blocked candidates become probe-eligible again.  Heap
             # entries for the removed thread die lazily.
             self._bump_epoch()
-
-    def live(self) -> List[Thread]:
-        return [t for t in self._index if t.alive]
 
     # -- incremental-index hooks ---------------------------------------------
 
@@ -200,6 +205,10 @@ class LogicalClockScheduler(SchedulerBase):
                             thread.det_bound))
 
     notify_running = notify_bound
+
+    def note_killed(self, thread: Thread) -> None:
+        if thread in self._index:
+            self._killed.add(thread)
 
     def _bump_epoch(self) -> None:
         self._service_seq += 1
@@ -313,7 +322,7 @@ class LogicalClockScheduler(SchedulerBase):
         return len(self._fail_seq)
 
     def live_count(self) -> int:
-        return len(self.live())
+        return len(self._index) - len(self._killed)
 
 
 class LogicalClockRefScheduler(SchedulerBase):

@@ -104,12 +104,15 @@ class DetTraceTracer(TracerBase):
     def on_instruction(self, thread: Thread, name: str) -> Tuple[Any, float]:
         finish = self.charge(INSTR_TRAP_COST, INTERCEPTION)
         nspid = thread.process.nspid
-        self.obs.count(("trap", name))
-        self.obs.record(ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
-                                 kind=TRAP, name=name))
-        self.obs.debug(2, ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
-                                   kind=DEBUG, name=name,
-                                   detail="trap %s" % name))
+        obs = self.obs
+        obs.count(("trap", name))
+        if obs.trace_enabled:
+            obs.record(ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
+                                kind=TRAP, name=name))
+        if obs.debug_level >= 2:
+            obs.debug(2, ObsEvent(vts=thread.det_clock, pid=nspid, index=-1,
+                                  kind=DEBUG, name=name,
+                                  detail="trap %s" % name))
         if name in (insn.RDTSC, insn.RDTSCP):
             self.counters.rdtsc_intercepted += 1
             return (self.logical.next_rdtsc(thread.process.pid), finish)
@@ -133,6 +136,10 @@ class DetTraceTracer(TracerBase):
 
     def on_thread_exit(self, thread: Thread) -> None:
         self.sched.remove(thread)
+        self._ctx_cache.pop(thread, None)
+
+    def on_thread_killed(self, thread: Thread) -> None:
+        self.sched.note_killed(thread)
         self._ctx_cache.pop(thread, None)
 
     def on_process_exit(self, proc: Process) -> None:
@@ -256,30 +263,38 @@ class DetTraceTracer(TracerBase):
             index=thread.current_syscall_index, kind=DEBUG, name=call.name,
             detail="%s(%s) -> %s %.60r" % (call.name, args, outcome, shown)))
 
-    def _disposition(self, thread: Thread, call, outcome: str) -> str:
-        """Classify how this instance was determinized (repro.obs)."""
-        if outcome == "block":
-            return "blocked"
+    def _disposition(self, thread: Thread, call) -> str:
+        """Classify how this completed instance was determinized
+        (repro.obs)."""
         if thread.obs_faulted:
             return "injected"
         return "rewritten" if call.name in self.handlers else "passthrough"
 
     def _emit_span(self, thread: Thread, outcome: str) -> None:
         """One trace span per service/probe, keyed only on deterministic
-        coordinates: det_clock, nspid, per-process index, attempt."""
+        coordinates: det_clock, nspid, per-process index, attempt.  The
+        span object is built only when the trace is recorded."""
         call = thread.current_syscall
         if call is None:
             return
-        disposition = self._disposition(thread, call, outcome)
+        obs = self.obs
+        if outcome == "block":
+            if obs.trace_enabled:
+                self._record_span(thread, call, "blocked")
+            return
+        disposition = self._disposition(thread, call)
+        if obs.trace_enabled:
+            self._record_span(thread, call, disposition)
+        # Count each instance once, at its completing attempt.
+        obs.count(("syscall", call.name, disposition))
+        thread.obs_faulted = False
+
+    def _record_span(self, thread: Thread, call, disposition: str) -> None:
         self.obs.span(Span(
             name=call.name, cat=disposition, pid=thread.process.nspid,
             tid=self.kernel.det_tid(thread), vts=thread.det_clock,
             dur=self._span_cost, index=thread.current_syscall_index,
             attempt=thread.obs_attempt))
-        if outcome != "block":
-            # Count each instance once, at its completing attempt.
-            self.obs.count(("syscall", call.name, disposition))
-            thread.obs_faulted = False
 
     def _probe(self, thread: Thread) -> bool:
         """Re-try a blocked thread's syscall; True if it completed."""

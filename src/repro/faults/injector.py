@@ -170,9 +170,10 @@ class FaultInjector:
                 self.counters.short_io_injected += 1
         if self.obs is not None:
             self.obs.count(("fault", rule.fault))
-            self.obs.record(ObsEvent(vts=vts, pid=nspid, index=index,
-                                     kind=FAULT, name=rule.fault,
-                                     detail="%s rule=%d" % (syscall, pos)))
+            if self.obs.trace_enabled:
+                self.obs.record(ObsEvent(vts=vts, pid=nspid, index=index,
+                                         kind=FAULT, name=rule.fault,
+                                         detail="%s rule=%d" % (syscall, pos)))
 
     # ------------------------------------------------------------------
     # syscall execution consult (the armed decision)

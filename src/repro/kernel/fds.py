@@ -83,6 +83,10 @@ class FDTable:
 
     def __init__(self):
         self._fds: Dict[int, OpenFile] = {}
+        #: Bumped whenever an existing descriptor is unbound (close, dup2
+        #: displacement).  Host-only: a blocked probe's stamp compares it
+        #: (repro.kernel.waiting.BlockStamp).
+        self.epoch = 0
 
     def lowest_free(self, minimum: int = 0) -> int:
         fd = minimum
@@ -108,9 +112,11 @@ class FDTable:
 
     def remove(self, fd: int) -> OpenFile:
         try:
-            return self._fds.pop(fd)
+            of = self._fds.pop(fd)
         except KeyError:
             raise SyscallError(Errno.EBADF, "fd %d" % fd) from None
+        self.epoch += 1
+        return of
 
     def has(self, fd: int) -> bool:
         return fd in self._fds
@@ -139,6 +145,7 @@ class FDTable:
         of.refcount += 1
         self._fds[newfd] = of
         if existing is not None:
+            self.epoch += 1
             if dropper is not None:
                 dropper(existing)
             else:

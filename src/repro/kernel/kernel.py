@@ -40,7 +40,7 @@ from .sockets import SocketRegistry
 from .timers import TimerTable
 from .types import make_exit_status, make_signal_status, SIGCHLD, CLOCK_MONOTONIC
 from .vdso import Vdso
-from .waiting import Channel, WouldBlock
+from .waiting import BlockStamp, Channel, WouldBlock
 
 #: Reference clock rate the Compute.work unit is defined against.
 REFERENCE_GHZ = 2.2
@@ -147,6 +147,10 @@ class Kernel:
         self.cores_busy = 0
         self._core_queue: List[Tuple[Thread, float]] = []
         self._parked: Dict[Channel, List[Thread]] = {}
+        #: Notifies so far, over every channel (host-only, like the
+        #: channels' own versions): lets an unchanged block stamp be
+        #: confirmed without comparing each channel.
+        self.wake_count = 0
 
         #: DetTrace thread serialization (§5.7).
         self.serialize_threads = False
@@ -282,8 +286,9 @@ class Kernel:
         self.processes.append(proc)
         self.stats.processes_spawned += 1
         self.obs.count(("process", "spawn"))
-        self.obs.record(ObsEvent(vts=0.0, pid=proc.nspid, index=-1,
-                                 kind=SPAWN, name=path))
+        if self.obs.trace_enabled:
+            self.obs.record(ObsEvent(vts=0.0, pid=proc.nspid, index=-1,
+                                     kind=SPAWN, name=path))
         thread = self._make_thread(proc, factory)
         if self.ckpt is not None:
             self.ckpt.record_spawn(thread.tid, path, proc.argv, proc.env)
@@ -353,12 +358,14 @@ class Kernel:
             if child.fdtable.has(fd):
                 self.drop_open_file(child.fdtable.remove(fd))
         parent.children.append(child)
+        self.notify(parent.spawn_channel)
         self.processes.append(child)
         self.stats.processes_spawned += 1
         self.obs.count(("process", "spawn"))
-        self.obs.record(ObsEvent(
-            vts=caller.det_clock if caller is not None else 0.0,
-            pid=child.nspid, index=-1, kind=SPAWN, name=path))
+        if self.obs.trace_enabled:
+            self.obs.record(ObsEvent(
+                vts=caller.det_clock if caller is not None else 0.0,
+                pid=child.nspid, index=-1, kind=SPAWN, name=path))
         thread = self._make_thread(child, factory)
         if self.ckpt is not None:
             self.ckpt.record_spawn(thread.tid, path, child.argv, child.env)
@@ -736,8 +743,16 @@ class Kernel:
             self._parked.setdefault(ch, []).append(thread)
 
     def notify(self, channel: Channel) -> int:
-        """Wake every thread parked on *channel*; returns the count."""
-        woken = self._parked.pop(channel, [])
+        """Wake every thread parked on *channel*; returns the count.
+
+        The single wake point: every state change a blocked syscall can
+        observe is announced here, so the channel's version (and the
+        global wake count) move exactly when a blocked answer may."""
+        channel.version += 1
+        self.wake_count += 1
+        woken = self._parked.pop(channel, None)
+        if not woken:
+            return 0
         count = 0
         for thread in woken:
             if not thread.alive or thread.state is not ThreadState.BLOCKED:
@@ -774,6 +789,8 @@ class Kernel:
             if sibling is not thread and sibling.alive:
                 sibling.state = ThreadState.EXITED
                 self._teardown_thread(sibling)
+                if self.tracer is not None:
+                    self.tracer.on_thread_killed(sibling)
         proc.threads = [thread]
         proc.argv = list(ex.argv)
         proc.exe_path = ex.path
@@ -855,10 +872,11 @@ class Kernel:
             return
         proc.exit_status = status
         self.obs.count(("process", "exit"))
-        self.obs.record(ObsEvent(
-            vts=max((t.det_clock for t in proc.threads), default=0.0),
-            pid=proc.nspid, index=-1, kind=EXIT, name=proc.exe_path or "",
-            detail="status=%d" % status))
+        if self.obs.trace_enabled:
+            self.obs.record(ObsEvent(
+                vts=max((t.det_clock for t in proc.threads), default=0.0),
+                pid=proc.nspid, index=-1, kind=EXIT,
+                name=proc.exe_path or "", detail="status=%d" % status))
         for thread in proc.threads:
             if thread.alive:
                 self._teardown_thread(thread)
@@ -881,14 +899,21 @@ class Kernel:
 
         Returns an outcome tag: ``("ok", value)``, ``("err", SyscallError)``,
         ``("block", channels)``, ``("sleep", seconds)``, ``("exit", None)``
-        or ``("execve", ExecveReplace)``.
+        or ``("execve", ExecveReplace)``.  A would-block probe leaves a
+        :class:`BlockStamp` on the thread for :meth:`unchanged_block`.
         """
+        thread.block_stamp = None
+        unfaulted = thread.armed_fault is None
         try:
             value = self.table.execute(thread, call)
         except WouldBlock as wb:
             if not nonblocking:
                 self._park(thread, call, wb.channels)
                 return ("parked", None)
+            if wb.stampable and unfaulted:
+                thread.block_stamp = BlockStamp(
+                    call, wb.channels, self.wake_count,
+                    thread.process.fdtable.epoch)
             return ("block", wb.channels)
         except Sleep as s:
             return ("sleep", s.seconds)
@@ -903,6 +928,27 @@ class Kernel:
         except ExecveReplace as ex:
             return ("execve", ex)
         return ("ok", value)
+
+    def unchanged_block(self, thread: Thread, call: Syscall) -> Optional[List[Channel]]:
+        """The channels *call* would block on again, or None.
+
+        Non-None only when re-executing *call* is known to raise the same
+        :class:`WouldBlock` as the thread's last probe: the call equals
+        the stamped one, no fault is armed, no descriptor was unbound and
+        no named channel has been notified since.  The tracer then skips
+        the syscall body; everything around it (charges, counters, the
+        scheduler's Blocked queue) runs as for a re-executed probe.
+        """
+        stamp = thread.block_stamp
+        if (stamp is None or thread.armed_fault is not None
+                or stamp.fd_epoch != thread.process.fdtable.epoch
+                or not (stamp.call is call or stamp.call == call)):
+            return None
+        if stamp.wakes != self.wake_count:
+            if [c.version for c in stamp.channels] != stamp.versions:
+                return None
+            stamp.wakes = self.wake_count
+        return stamp.channels
 
     def release_step_token(self, thread: Thread) -> None:
         """Tracer hook: the thread's syscall would block; hand the thread

@@ -78,6 +78,10 @@ class Thread:
         self.current_syscall_index = -1
         self.obs_attempt = 0
         self.obs_faulted = False
+        #: Host-only record of the last tracer probe that would block
+        #: (repro.kernel.waiting.BlockStamp); None after any execution
+        #: that did not block, and on every restored thread.
+        self.block_stamp = None
 
     @property
     def is_main(self) -> bool:
@@ -123,6 +127,9 @@ class Process:
         self.reaped = False
         #: Fires when the process exits (parents wait4 on it).
         self.exit_channel = Channel("pid%d.exit" % pid)
+        #: Fires when the process gains a child (wait4's candidate set
+        #: grows; a sibling thread may spawn while another waits).
+        self.spawn_channel = Channel("pid%d.spawn" % pid)
         #: Fires when a signal is delivered (pause/sleep wake on it).
         self.signal_channel = Channel("pid%d.signal" % pid)
         self.signal_handlers: Dict[int, SignalAction] = {}

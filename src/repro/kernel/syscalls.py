@@ -762,7 +762,11 @@ class SyscallTable:
             return WaitResult(pid=child.nspid, status=child.exit_status)
         if options & WNOHANG:
             return WaitResult(pid=0, status=0)
-        raise WouldBlock([c.exit_channel for c in candidates])
+        # A child spawned meanwhile (by a sibling thread) joins the
+        # candidates; it must wake this waiter like an exit does.
+        channels = [c.exit_channel for c in candidates]
+        channels.append(proc.spawn_channel)
+        raise WouldBlock(channels)
 
     def sys_spawn_thread(self, t: Thread, func):
         return self.kernel.spawn_thread(t.process, func, caller=t)
@@ -817,7 +821,9 @@ class SyscallTable:
             current = proc.memory.get(addr, 0)
             if current != val:
                 raise SyscallError(Errno.EAGAIN, "futex")
-            raise WouldBlock([proc.futex_channel(addr)])
+            # Not stampable: guest code stores to the futex word directly
+            # (guest.runtime lock_release), with no notify in between.
+            raise WouldBlock([proc.futex_channel(addr)], stampable=False)
         if op == FUTEX_WAKE:
             return self.kernel.notify(proc.futex_channel(addr))
         raise SyscallError(Errno.EINVAL, "futex")
@@ -982,8 +988,10 @@ class SyscallTable:
         if listener.full:
             # Bounded backlog: park until an accept frees a slot.  This
             # check precedes every side effect because a retry re-runs
-            # the whole body.
-            raise WouldBlock([listener.accept_slot])
+            # the whole body.  Not stampable: a re-listen that grows the
+            # backlog, or a connect/listen through another descriptor of
+            # this description, changes the answer without a notify.
+            raise WouldBlock([listener.accept_slot], stampable=False)
         to_server, to_client = Pipe(), Pipe()
         for pipe in (to_server, to_client):
             pipe.open_reader()
@@ -1027,10 +1035,14 @@ class SyscallTable:
         if how in (socklib.SHUT_RD, socklib.SHUT_RDWR) and not of.shut_rd:
             of.shut_rd = True
             self.kernel.notify(of.pipe.close_reader())
+            # Readers blocked on this description now see EOF.
+            self.kernel.notify(of.pipe.readable)
         if how in (socklib.SHUT_WR, socklib.SHUT_RDWR) and not of.shut_wr:
             of.shut_wr = True
             # The peer's pending reads drain the buffer, then see EOF.
             self.kernel.notify(of.peer_pipe.close_writer())
+            # Writers blocked on this description now fail with EPIPE.
+            self.kernel.notify(of.peer_pipe.writable)
         if self.kernel.sockets is not None:
             self.kernel.sockets.touch()
         return 0

@@ -48,14 +48,18 @@ class TracerBase:
         """Occupy the tracer for *cost* seconds; returns the finish time.
 
         *phase* attributes the cost in the virtual-time profiler
-        (interception/handler/scheduler/fs — repro.obs.profiler).
+        (interception/handler/scheduler/fs — repro.obs.profiler).  The
+        profile total is accumulated here directly, exactly as
+        ``Collector.charge`` would: this runs several times per syscall.
         """
-        start = max(self.kernel.clock.now, self.busy_until)
-        self.busy_until = start + cost
+        now = self.kernel.clock.now
+        busy = self.busy_until
+        self.busy_until = busy = (busy if busy > now else now) + cost
         self._span_cost += cost
         if phase is not None:
-            self.obs.charge(phase, cost)
-        return self.busy_until
+            totals = self.obs.profile.totals
+            totals[phase] = totals.get(phase, 0.0) + cost
+        return busy
 
     def begin_span(self) -> None:
         """Reset the deterministic cost accumulator for a new span."""
@@ -93,6 +97,11 @@ class TracerBase:
         pass
 
     def on_thread_exit(self, thread: Thread) -> None:
+        pass
+
+    def on_thread_killed(self, thread: Thread) -> None:
+        """A sibling thread was torn down by execve: it is dead, but no
+        ``on_thread_exit``/``on_process_exit`` will report it."""
         pass
 
     def on_thread_progress(self, thread: Thread) -> None:

@@ -199,3 +199,69 @@ def test_randomized_lockstep_against_reference():
                 ref.completed(t)
         assert fast.blocked_count() == ref.blocked_count()
         assert fast.live_count() == ref.live_count()
+
+
+def _scanned_live(sched):
+    """The membership scan live_count() replaced (the reference)."""
+    return sum(1 for t in sched._index if t.alive)
+
+
+def test_live_count_excludes_killed_members_in_o1():
+    s = LogicalClockScheduler()
+    a, b = make_thread(1, clock=1.0), make_thread(2, clock=2.0)
+    s.add(a)
+    s.add(b)
+    b.state = ThreadState.EXITED
+    s.note_killed(b)             # an execve tore b down; it stays a member
+    assert s.live_count() == _scanned_live(s) == 1
+    s.remove(b)
+    assert s.live_count() == _scanned_live(s) == 1
+
+
+def _execve_sibling_worker(sys):
+    for _ in range(50):
+        yield from sys.compute(1e-4)
+        yield from sys.time()
+
+
+def _execve_after(sys):
+    yield from sys.write_file("after", b"ok")
+    return 0
+
+
+def _execve_main(sys):
+    for _ in range(3):
+        yield from sys.spawn_thread(_execve_sibling_worker)
+    yield from sys.compute(1e-3)
+    yield from sys.time()
+    yield from sys.execve("/bin/after")
+
+
+def test_live_count_equals_the_membership_scan_in_real_runs(monkeypatch):
+    """threads_peak feeds the result digest: the O(1) count must equal
+    the scan it replaced at every sample, including after an execve
+    kills sibling threads without removing them."""
+    import dataclasses
+
+    from repro.core import ContainerConfig
+    from repro.workloads import ml
+    from tests.conftest import dettrace_run
+
+    real = LogicalClockScheduler.live_count
+    samples = []
+
+    def checked(self):
+        n = real(self)
+        assert n == _scanned_live(self)
+        samples.append(n)
+        return n
+
+    monkeypatch.setattr(LogicalClockScheduler, "live_count", checked)
+    result = dettrace_run(_execve_main, config=ContainerConfig(),
+                          extra_binaries={"/bin/after": _execve_after})
+    assert result.exit_code == 0
+    assert result.output_tree["after"] == b"ok"
+    assert result.metrics.gauges["sched/threads_peak"] == 4
+    assert samples[-1] == 1
+    ml.run_dettrace(dataclasses.replace(ml.ALEXNET, threads=16))
+    assert max(samples) >= 16

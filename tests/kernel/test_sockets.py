@@ -5,7 +5,8 @@ import pytest
 
 from repro.kernel.errors import Errno, SyscallError
 from repro.kernel.sockets import (
-    AF_INET, AF_UNIX, EPHEMERAL_BASE, SHUT_WR, SOMAXCONN, SocketRegistry,
+    AF_INET, AF_UNIX, EPHEMERAL_BASE, SHUT_RD, SHUT_WR, SOMAXCONN,
+    SocketRegistry,
 )
 from repro.kernel.types import O_APPEND, O_NONBLOCK, O_RDWR, make_signal_status
 from repro.guest import libc
@@ -343,6 +344,51 @@ class TestSigpipe:
 
         k, proc = run_guest(prog)
         assert proc.exit_status == make_signal_status(SIGPIPE)
+
+
+class TestShutdownWakesBlockedThreads:
+    """shutdown(2) on a description another thread is blocked on must
+    wake that thread: SHUT_RD ends a blocked read with EOF, SHUT_WR fails
+    a blocked write with EPIPE (as on Linux).  Without those wakes the
+    native kernel parks the thread forever, while DetTrace's re-probe
+    sees the new state."""
+
+    def test_shut_rd_ends_a_blocked_read(self):
+        def prog(sys):
+            a, _b = yield from sys.socketpair()
+
+            def reader(sys):
+                sys.mem["got"] = yield from sys.recv(a, 16)
+
+            yield from sys.spawn_thread(reader)
+            yield from sys.compute(1e-3)
+            yield from sys.shutdown(a, SHUT_RD)
+            yield from sys.compute(1e-3)
+            return sys.mem.get("got")
+
+        value, _ = returns(prog)
+        assert value == b""
+
+    def test_shut_wr_fails_a_blocked_write(self):
+        def prog(sys):
+            yield from sys.sigaction(SIGPIPE, "ignore")
+            a, _b = yield from sys.socketpair()
+            yield from sys.send(a, b"x" * 65536)   # fill the buffer
+
+            def writer(sys):
+                try:
+                    yield from sys.send(a, b"more")
+                except SyscallError as err:
+                    sys.mem["errno"] = err.errno
+
+            yield from sys.spawn_thread(writer)
+            yield from sys.compute(1e-3)
+            yield from sys.shutdown(a, SHUT_WR)
+            yield from sys.compute(1e-3)
+            return sys.mem.get("errno")
+
+        value, _ = returns(prog)
+        assert value == Errno.EPIPE
 
 
 class TestLseekEspipe:
