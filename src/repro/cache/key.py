@@ -14,11 +14,15 @@ Key composition (the DESIGN "Cache invariants" contract):
   tree (per-inode leaves covering kind/mode/uid/gid and content or
   symlink target; one interior node per directory over its name-sorted
   children — the same shape as :mod:`repro.ckpt.merkle`), composed with
-  digests of every registered guest binary (hashed structurally through
-  its code object, so editing a guest program moves the key) and every
-  published download URL body.  The image is installed into a throwaway
-  kernel under a *pinned canonical host*, so nothing host-jittered
-  (boot epochs, inode bases) can leak into the fingerprint.
+  digests of every registered guest binary and setup function (see
+  :func:`_callable_digest`) and every published download URL body.
+  The image is installed into a throwaway kernel under a *pinned
+  canonical host*, so nothing host-jittered (boot epochs, inode bases)
+  can leak into the fingerprint.
+* **engine** — :func:`engine_digest`, a sha256 of the package's own
+  sources: the kernel, tracer and handlers decide what a run computes
+  as much as the guest does, so a fix to any of them retires old
+  entries instead of leaving them to be served stale.
 * **config fingerprint** — :meth:`ContainerConfig.fingerprint`, which
   already covers every determinism-relevant knob and excludes the
   operational ones (``checkpoint``, ``cache``).
@@ -34,16 +38,19 @@ Key composition (the DESIGN "Cache invariants" contract):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+import os
+import sys
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.config import ContainerConfig
 from ..cpu.machine import HostEnvironment
 
 #: Bumped whenever key composition changes incompatibly: old entries
 #: become unreachable instead of wrongly hit.
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 #: Config toggles whose *disabling* can let host identity reach the
 #: output surface; with any of these off the full host identity joins
@@ -61,56 +68,84 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _code_fingerprint(fn: Any, _depth: int = 0) -> str:
-    """Structural digest of a callable's code object.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    Recurses into nested code objects (``repr`` of a code object embeds
-    a memory address, so it must never be hashed directly); constants
-    and names are covered by repr, which is stable for the plain-data
-    constants guest programs use.  Falls back to the qualified name for
-    builtins/callables without code.
-    """
-    code = getattr(fn, "__code__", None)
-    if code is None or _depth > 8:
-        return _sha(repr(getattr(fn, "__qualname__", fn)).encode())
+
+@functools.lru_cache(maxsize=None)
+def engine_digest() -> str:
+    """sha256 over every ``.py`` source of the ``repro`` package (path
+    and bytes, in sorted order), computed once per process.  Kernel,
+    tracer, handlers and every guest program shipped in the package are
+    code the run executes, so an edit to any of them moves every key."""
     h = hashlib.sha256()
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    h.update(repr(code.co_varnames).encode())
-    h.update(repr(code.co_argcount).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            h.update(_code_fingerprint_code(const, _depth + 1).encode())
-        else:
-            h.update(repr(const).encode())
-    # functools.partial-style bindings and closures carry run-relevant
-    # parameters; cover their reprs (plain-data by convention).
+    for base, dirs, files in os.walk(_PACKAGE_DIR):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(base, name)
+                h.update(os.path.relpath(path, _PACKAGE_DIR).encode())
+                with open(path, "rb") as fh:
+                    h.update(_sha(fh.read()).encode())
+    return h.hexdigest()
+
+
+#: module name -> (the module's __spec__ when digested, source digest).
+_MODULE_DIGESTS: Dict[str, Tuple[Any, Optional[str]]] = {}
+
+
+def _module_digest(module_name: str) -> Optional[str]:
+    """Source digest of a module outside the package, memoized per
+    module load (a re-import brings a new ``__spec__``, so a rewritten
+    module is re-read); None when the module has no source file."""
+    module = sys.modules.get(module_name)
+    spec = getattr(module, "__spec__", None)
+    memo = _MODULE_DIGESTS.get(module_name)
+    if memo is not None and memo[0] is spec:
+        return memo[1]
+    digest = None
+    path = getattr(module, "__file__", None)
+    if path:
+        try:
+            with open(path, "rb") as fh:
+                digest = _sha(fh.read())
+        except OSError:
+            pass
+    _MODULE_DIGESTS[module_name] = (spec, digest)
+    return digest
+
+
+def _callable_digest(fn: Any, _depth: int = 0) -> str:
+    """Digest of a guest binary or setup function.
+
+    Code inside the package is covered by :func:`engine_digest`; code
+    defined elsewhere adds the source digest of its defining module, so
+    an edit to it or to a helper it calls from that module moves the
+    key.  A callable whose source cannot be read keys on its identity
+    (its repr carries an address), so it never shares an entry across
+    processes.  Closure cells and defaults — what ``with_args`` binds —
+    are covered by repr (plain data by convention), and callable cells
+    recursively.
+    """
+    qualname = getattr(fn, "__qualname__", None) or repr(fn)
+    module = getattr(fn, "__module__", None) or ""
+    code = getattr(fn, "__code__", None)
+    h = hashlib.sha256()
+    # The first line tells apart same-named lambdas of one function.
+    h.update(("%s|%s|%s|" % (module, qualname,
+                             getattr(code, "co_firstlineno", ""))).encode())
+    if module != "repro" and not module.startswith("repro."):
+        h.update((_module_digest(module) or repr(fn)).encode())
     closure = getattr(fn, "__closure__", None)
-    if closure:
+    if closure and _depth < 8:
         for cell in closure:
             contents = cell.cell_contents
             if callable(contents):
-                h.update(_code_fingerprint(contents, _depth + 1).encode())
+                h.update(_callable_digest(contents, _depth + 1).encode())
             else:
                 h.update(repr(contents).encode())
     defaults = getattr(fn, "__defaults__", None)
     if defaults:
         h.update(repr(defaults).encode())
-    return h.hexdigest()
-
-
-def _code_fingerprint_code(code: Any, _depth: int) -> str:
-    """Digest of a raw code object (recursion helper)."""
-    h = hashlib.sha256()
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    h.update(repr(code.co_varnames).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            if _depth <= 8:
-                h.update(_code_fingerprint_code(const, _depth + 1).encode())
-        else:
-            h.update(repr(const).encode())
     return h.hexdigest()
 
 
@@ -158,12 +193,12 @@ def image_fingerprint(image, working_dir: str = "/build") -> str:
     h.update(_tree_node_digest(kernel.fs.root).encode())
     for path in sorted(image.registry._programs):
         h.update(path.encode())
-        h.update(_code_fingerprint(image.registry._programs[path]).encode())
+        h.update(_callable_digest(image.registry._programs[path]).encode())
     for url in sorted(image._urls):
         h.update(url.encode())
         h.update(_sha(image._urls[url]).encode())
     for fn in image._setup_fns:
-        h.update(_code_fingerprint(fn).encode())
+        h.update(_callable_digest(fn).encode())
     return h.hexdigest()
 
 
@@ -200,6 +235,7 @@ def run_key(image, config: ContainerConfig, command: str,
     command, argv, host)``."""
     components = {
         "schema": KEY_SCHEMA,
+        "engine": engine_digest(),
         "image": image_fingerprint(image, config.working_dir),
         "config": config.fingerprint(),
         "command": command,

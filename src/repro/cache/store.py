@@ -51,17 +51,39 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _holds(path: str, data: bytes) -> bool:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read() == data
+    except OSError:
+        return False
+
+
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write *data* to *path* through a dot-tmp file private to this
+    writer, so concurrent writers of one path (fan-out workers storing
+    one key) never share or steal a tmp file."""
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, ".tmp-" + os.path.basename(path))
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    tmp = os.path.join(directory, ".tmp-%s.%d.%s" % (
+        os.path.basename(path), os.getpid(), os.urandom(6).hex()))
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     try:
         os.write(fd, data)
         os.fsync(fd)
     finally:
         os.close(fd)
-    os.rename(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        # Lost the race to another writer: its bytes under the final
+        # name are as good as ours if they are the same bytes.
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        if not _holds(path, data):
+            raise
     fsync_dir(directory)
 
 

@@ -1242,6 +1242,8 @@ def _restore_sched(sched, rec: Optional[Dict[str, Any]],
                              if tid in threads]
         heapq.heapify(sched._bound_heap)
         sched._killed = {t for t in sched._index if not t.alive}
+        # The WAIT gate is host-only and never captured: start without.
+        sched._gated = False
     elif rec["kind"] == "logical-ref":
         if not isinstance(sched, LogicalClockRefScheduler):
             raise RestoreError("scheduler kind mismatch")

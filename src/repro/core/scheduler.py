@@ -58,6 +58,8 @@ SERVICE = "service"
 PROBE = "probe"
 WAIT = "wait"
 
+_WAIT_NONE = (WAIT, None)
+
 
 def _is_stopped_at_syscall(thread: Thread) -> bool:
     return (thread.state is ThreadState.TRACE_STOP
@@ -96,9 +98,10 @@ class SchedulerBase:
         """The thread reached a trace stop (incremental-index hook; the
         reference schedulers rediscover stops by scanning instead)."""
 
-    def notify_bound(self, thread: Thread) -> None:
+    def notify_bound(self, thread: Thread) -> Optional[bool]:
         """The thread committed to more compute: its deterministic lower
-        bound rose (incremental-index hook)."""
+        bound rose (incremental-index hook).  True means the last WAIT
+        verdict provably still holds, so the tracer may skip its pump."""
 
     def notify_running(self, thread: Thread) -> None:
         """The thread re-entered the running set after waiting for the
@@ -145,6 +148,16 @@ class LogicalClockScheduler(SchedulerBase):
       seccomp-skipped syscalls advance ``det_bound`` without any
       scheduler notification; deterministic clocks only move forward, so
       a stale entry always surfaces before its refresh is needed.
+
+    The WAIT gate: when :meth:`next_action` says WAIT it records why —
+    no candidate at all, or the running thread (``_gate_holder``, with
+    its spawn index and ``det_bound``) whose bound gated the top
+    candidate.  :meth:`notify_bound` of any *other* thread cannot change
+    that verdict while the holder is still a running member with the
+    same bound (bounds only rise, and every way a new or earlier
+    candidate can appear — a stop, an epoch bump re-arming the stash —
+    clears the gate), so it returns True and the tracer skips the pump.
+    The gate is host-only state: snapshots never capture it.
     """
 
     def __init__(self):
@@ -165,19 +178,25 @@ class LogicalClockScheduler(SchedulerBase):
         #: Members that died without removal: live_count() is O(1) as
         #: ``len(_index) - len(_killed)``.
         self._killed: Set[Thread] = set()
+        #: A WAIT verdict is recorded and no mutation has cleared it.
+        self._gated = False
+        #: The running thread whose bound held that WAIT (None: there
+        #: was no candidate), with its spawn index and det_bound then.
+        self._gate_holder: Optional[Thread] = None
+        self._gate_index = -1
+        self._gate_bound = 0.0
 
     # -- membership -------------------------------------------------------
 
     def add(self, thread: Thread) -> None:
+        self._gated = False
         idx = self._next_index
         self._next_index += 1
         self._index[thread] = idx
         if _is_stopped_at_syscall(thread):
             heapq.heappush(self._stop_heap, (thread.det_clock, idx, thread))
         else:
-            heapq.heappush(self._bound_heap,
-                           (thread.det_bound + SYSCALL_TICK, idx, thread,
-                            thread.det_bound))
+            self._push_bound(thread)
 
     def remove(self, thread: Thread) -> None:
         if thread in self._index:
@@ -193,24 +212,48 @@ class LogicalClockScheduler(SchedulerBase):
     # -- incremental-index hooks ---------------------------------------------
 
     def notify_stop(self, thread: Thread) -> None:
+        self._gated = False
         idx = self._index.get(thread)
         if idx is not None:
             heapq.heappush(self._stop_heap, (thread.det_clock, idx, thread))
 
-    def notify_bound(self, thread: Thread) -> None:
+    def _push_bound(self, thread: Thread) -> None:
         idx = self._index.get(thread)
         if idx is not None:
+            bound = thread.det_bound
             heapq.heappush(self._bound_heap,
-                           (thread.det_bound + SYSCALL_TICK, idx, thread,
-                            thread.det_bound))
+                           (bound + SYSCALL_TICK, idx, thread, bound))
 
-    notify_running = notify_bound
+    def notify_bound(self, thread: Thread) -> bool:
+        self._push_bound(thread)
+        if not self._gated:
+            return False
+        holder = self._gate_holder
+        if holder is None:
+            return True
+        # The holder's own commit fails the bound check below.
+        state = holder.state
+        if (self._index.get(holder) == self._gate_index
+                and state is not ThreadState.EXITED
+                and not holder.token_queued
+                and not (state is ThreadState.TRACE_STOP
+                         and holder.current_syscall is not None)
+                and holder.det_bound == self._gate_bound):
+            return True
+        self._gated = False
+        return False
+
+    def notify_running(self, thread: Thread) -> None:
+        self._gated = False
+        self._push_bound(thread)
 
     def note_killed(self, thread: Thread) -> None:
+        self._gated = False
         if thread in self._index:
             self._killed.add(thread)
 
     def _bump_epoch(self) -> None:
+        self._gated = False
         self._service_seq += 1
         # Every epoch advance re-arms all probe-deferred candidates,
         # mirroring the reference scan that reconsiders them.
@@ -221,14 +264,15 @@ class LogicalClockScheduler(SchedulerBase):
 
     # -- decision ------------------------------------------------------------
 
-    def _peek_candidate(self) -> Optional[Tuple[float, int, Thread]]:
-        """The live minimum of the stop heap, stashing probe-ineligible
-        candidates and discarding dead entries.
+    def next_action(self) -> Tuple[str, Optional[Thread]]:
+        """One pass over both heaps: the live minimum of the stop heap
+        (stashing probe-ineligible candidates, discarding dead entries),
+        then the running-bound top that could gate it.
 
         The validity checks are inlined (rather than going through
-        ``Thread.alive`` / ``_is_stopped_at_syscall``) because this loop
-        visits every stale heap entry exactly once and runs on every
-        scheduling decision: property and call overhead dominates it.
+        ``Thread.alive`` / ``_is_stopped_at_syscall``) because these
+        loops visit every stale heap entry exactly once and run on every
+        scheduling decision: property and call overhead dominates them.
         ``state is TRACE_STOP`` subsumes the liveness check (an exited
         thread is never in TRACE_STOP)."""
         heap = self._stop_heap
@@ -238,81 +282,71 @@ class LogicalClockScheduler(SchedulerBase):
         seq = self._service_seq
         stopped = ThreadState.TRACE_STOP
         while heap:
-            entry = heap[0]
-            clock, idx, thread = entry
-            if (index_get(thread) != idx
-                    or thread.state is not stopped
-                    or thread.current_syscall is None
-                    or thread.det_clock != clock):
+            clock, idx, candidate = heap[0]
+            if (index_get(candidate) != idx
+                    or candidate.state is not stopped
+                    or candidate.current_syscall is None
+                    or candidate.det_clock != clock):
                 heappop(heap)
                 continue
-            if fail_get(thread) == seq:
+            if fail_get(candidate) == seq:
                 # Nothing serviced since its last failed probe: park it
                 # until the epoch advances.
                 self._stash.append(heappop(heap))
                 continue
-            return entry
-        return None
-
-    def _min_running_bound(self) -> Optional[Tuple[float, int]]:
-        """The smallest (det_bound + SYSCALL_TICK, index) over threads
-        that could still stop on their own (running, not waiting for the
-        sibling token, not already stopped).  Checks inlined as in
-        :meth:`_peek_candidate`."""
+            break
+        else:
+            self._gated = True
+            self._gate_holder = None
+            return _WAIT_NONE
+        # The smallest (det_bound + SYSCALL_TICK, index) over threads
+        # that could still stop on their own (running, not waiting for
+        # the sibling token, not already stopped).
         heap = self._bound_heap
-        heappop = heapq.heappop
-        index_get = self._index.get
         exited = ThreadState.EXITED
-        stopped = ThreadState.TRACE_STOP
         while heap:
-            bound_key, idx, thread, stamp = heap[0]
-            state = thread.state
-            if index_get(thread) != idx or state is exited:
+            bound_key, bidx, other, stamp = heap[0]
+            state = other.state
+            if index_get(other) != bidx or state is exited:
                 heappop(heap)
                 continue
-            if thread.token_queued or (state is stopped
-                                       and thread.current_syscall is not None):
+            if other.token_queued or (state is stopped
+                                      and other.current_syscall is not None):
                 # Temporarily outside the running set; re-pushed on the
                 # token grant / service completion transition.
                 heappop(heap)
                 continue
-            if thread.det_bound != stamp:
+            bound = other.det_bound
+            if bound != stamp:
                 # Seccomp-skipped syscalls raise det_bound without a
                 # notify hook: refresh in place (bounds only grow, so
                 # the stale entry surfaces before the fresh one is due).
                 heapq.heapreplace(
-                    heap, (thread.det_bound + SYSCALL_TICK, idx, thread,
-                           thread.det_bound))
+                    heap, (bound + SYSCALL_TICK, bidx, other, bound))
                 continue
-            return (bound_key, idx)
-        return None
-
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
-        top = self._peek_candidate()
-        if top is None:
-            return (WAIT, None)
-        clock, idx, candidate = top
-        bound = self._min_running_bound()
-        if bound is not None and bound < (clock, idx):
-            # Some running thread could stop with a smaller deterministic
-            # timestamp: servicing now would commit the wrong order.
-            return (WAIT, None)
+            if bound_key < clock or (bound_key == clock and bidx < idx):
+                # Some running thread could stop with a smaller
+                # deterministic timestamp: servicing now would commit
+                # the wrong order.  Remember who holds the verdict.
+                self._gated = True
+                self._gate_holder = other
+                self._gate_index = bidx
+                self._gate_bound = bound
+                return _WAIT_NONE
+            break
         if candidate in self._fail_seq:
             return (PROBE, candidate)
         return (SERVICE, candidate)
 
     def completed(self, thread: Thread) -> None:
-        self._service_seq += 1
-        if self._stash:
-            for entry in self._stash:
-                heapq.heappush(self._stop_heap, entry)
-            del self._stash[:]
+        self._bump_epoch()
         self._fail_seq.pop(thread, None)
         # The thread resumes into the running set; its stop-heap entry
         # dies lazily once current_syscall is cleared.
-        self.notify_bound(thread)
+        self._push_bound(thread)
 
     def still_blocked(self, thread: Thread) -> None:
+        self._gated = False
         self._fail_seq[thread] = self._service_seq
 
     def note_progress(self) -> None:

@@ -34,6 +34,7 @@ from .inode_table import InodeTable
 from .logical_time import LogicalClock
 from .namespaces import UidGidMap
 from .prng import Lfsr
+from .scheduler import SERVICE, WAIT, make_scheduler
 
 #: What cpuid reports inside the container: a canonical uniprocessor with
 #: no TSX and no hardware randomness (§5.8).
@@ -62,7 +63,7 @@ class DetTraceTracer(TracerBase):
         self.io_state: Dict[Tuple[str, int], Any] = {}
         self._pumping = False
         self._last_proc: Process = None
-        self.sched = None  # set in attach (import cycle avoidance)
+        self.sched = None  # set in attach
         #: Hot-path dispatch caches.  The handler table is frozen after
         #: construction, so name -> handler (with the passthrough default
         #: applied) memoizes the two-step lookup; HandlerContext binds
@@ -78,8 +79,6 @@ class DetTraceTracer(TracerBase):
         return self.obs.render_debug()
 
     def attach(self, kernel) -> None:
-        from .scheduler import make_scheduler
-
         super().attach(kernel)
         self.seccomp = SeccompFilter(
             enabled=self.config.use_seccomp,
@@ -171,9 +170,10 @@ class DetTraceTracer(TracerBase):
 
     def on_thread_progress(self, thread: Thread) -> None:
         # A running thread raised its deterministic bound; a stopped
-        # candidate may have become eligible.
-        self.sched.notify_bound(thread)
-        self._pump()
+        # candidate may have become eligible — unless the scheduler
+        # knows its last WAIT verdict still holds.
+        if not self.sched.notify_bound(thread):
+            self._pump()
 
     def on_token_granted(self, thread: Thread) -> None:
         # The thread re-enters the running set *now*; incremental
@@ -187,8 +187,6 @@ class DetTraceTracer(TracerBase):
 
     def _pump(self) -> bool:
         """Service/probe stopped threads in the deterministic order."""
-        from .scheduler import PROBE, SERVICE, WAIT
-
         if self._pumping:
             return False
         self._pumping = True
@@ -285,8 +283,11 @@ class DetTraceTracer(TracerBase):
         disposition = self._disposition(thread, call)
         if obs.trace_enabled:
             self._record_span(thread, call, disposition)
-        # Count each instance once, at its completing attempt.
-        obs.count(("syscall", call.name, disposition))
+        # Count each instance once, at its completing attempt (straight
+        # into the counter dict: this runs once per serviced syscall).
+        key = ("syscall", call.name, disposition)
+        counters = obs.counters
+        counters[key] = counters.get(key, 0) + 1
         thread.obs_faulted = False
 
     def _record_span(self, thread: Thread, call, disposition: str) -> None:
@@ -297,20 +298,34 @@ class DetTraceTracer(TracerBase):
             attempt=thread.obs_attempt))
 
     def _probe(self, thread: Thread) -> bool:
-        """Re-try a blocked thread's syscall; True if it completed."""
+        """Re-try a blocked thread's syscall; True if it completed.
+
+        A passthrough probe whose block stamp still holds
+        (``Kernel.unchanged_block``) is known to fail: it skips the
+        handler, its context and the span call, and keeps every charge,
+        counter and scheduler step of a re-run probe in the same order.
+        """
         self.begin_span()
         self.charge(TRACER_REPLAY_COST, SCHEDULER)
         thread.obs_attempt += 1
-        outcome, payload = self._run_handler(thread)
-        if outcome == "block":
+        call = thread.current_syscall
+        if (thread.block_stamp is not None and not self.config.debug
+                and self._handler_cache.get(call.name) is passthrough
+                and self.kernel.unchanged_block(thread, call) is not None):
+            self.counters.replays_blocking += 1
+            if self.obs.trace_enabled:
+                self._record_span(thread, call, "blocked")
+        else:
+            outcome, payload = self._run_handler(thread)
+            if outcome != "block":
+                self._emit_span(thread, outcome)
+                self._complete(thread, outcome, payload)
+                return True
             self.counters.replays_blocking += 1
             self._emit_span(thread, outcome)
-            self.sched.still_blocked(thread)
-            self.kernel.release_step_token(thread)
-            return False
-        self._emit_span(thread, outcome)
-        self._complete(thread, outcome, payload)
-        return True
+        self.sched.still_blocked(thread)
+        self.kernel.release_step_token(thread)
+        return False
 
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
         # Advance the scheduler's service epoch even for exits: an exit is

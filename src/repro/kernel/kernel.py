@@ -218,6 +218,7 @@ class Kernel:
         :class:`DeadlockError` if live threads remain with no possible
         progress.
         """
+        clock = self.clock
         while True:
             if not self._events:
                 if not self.live_processes():
@@ -242,7 +243,12 @@ class Kernel:
             t, _seq, fn, _desc = heapq.heappop(self._events)
             if deadline is not None and t > deadline:
                 raise SimTimeout(deadline)
-            self.clock.advance_to(t)
+            # SimClock.advance_to, inlined: this runs once per event.
+            now = clock.now
+            if t < now - 1e-12:
+                raise ValueError("clock moved backwards: %r -> %r" % (now, t))
+            if t > now:
+                clock.now = t
             self.stats.events_processed += 1
             if self.stats.events_processed > max_events:
                 raise KernelPanic("event budget exhausted (%d)" % max_events)
@@ -425,7 +431,8 @@ class Kernel:
         if not thread.alive:
             return
         proc = thread.process
-        if self.serialize_threads and len(proc.live_threads()) > 1:
+        if (self.serialize_threads and len(proc.threads) > 1
+                and len(proc.live_threads()) > 1):
             holder = getattr(proc, "_step_token", None)
             if holder is not None and holder is not thread and holder.alive:
                 queue = proc.memory.setdefault("_step_queue", [])
@@ -970,7 +977,8 @@ class Kernel:
         thread.state = ThreadState.DISPATCH
         thread.current_syscall = None
         proc = thread.process
-        if (self.serialize_threads and len(proc.live_threads()) > 1
+        if (self.serialize_threads and len(proc.threads) > 1
+                and len(proc.live_threads()) > 1
                 and getattr(proc, "_step_token", None) is thread):
             queue = proc.memory.setdefault("_step_queue", [])
             queue.append((thread, value, exc))

@@ -69,7 +69,7 @@ class Collector:
     # -- aggregates (always on) ----------------------------------------
 
     def count(self, key: CounterKey, n: int = 1) -> None:
-        k = _key(key)
+        k = key if type(key) is tuple else _key(key)
         self.counters[k] = self.counters.get(k, 0) + n
 
     def gauge_max(self, name: str, value: float) -> None:

@@ -1,7 +1,11 @@
 """Run-key semantics and the memoized DetTrace run path."""
+import importlib
+import sys
+
 import pytest
 
 from repro.cache import RunCache, run_key
+from repro.cache.key import engine_digest
 from repro.core import CacheConfig, ContainerConfig, DetTrace, Image, ablated
 from repro.core.config import CheckpointConfig
 from repro.cpu.machine import HASWELL_XEON, HostEnvironment
@@ -52,6 +56,37 @@ class TestRunKey:
             return 0
 
         assert _key(image=_image(_main)) != _key(image=_image(other))
+
+    def test_called_helper_edit_changes_key(self, tmp_path, monkeypatch):
+        """A binary defined outside the package keys on its module's
+        source: editing a helper it calls moves the key even though the
+        binary's own code object is unchanged."""
+        source = (
+            "def helper():\n"
+            "    return %r\n"
+            "\n"
+            "def main(sys):\n"
+            "    yield from sys.println(helper())\n"
+            "    return 0\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        keys = []
+        for greeting in ("hello", "HELLO"):
+            (tmp_path / "edited_guest.py").write_text(source % greeting)
+            sys.modules.pop("edited_guest", None)
+            importlib.invalidate_caches()
+            module = importlib.import_module("edited_guest")
+            keys.append(_key(image=_image(module.main)))
+            keys.append(_key(image=_image(module.main)))
+        sys.modules.pop("edited_guest", None)
+        assert keys[0] == keys[1] and keys[2] == keys[3]
+        assert keys[0] != keys[2]
+
+    def test_engine_sources_are_in_the_key(self):
+        components = run_key(_image(), ContainerConfig(), "/bin/main", None,
+                             HostEnvironment()).components
+        assert components["engine"] == engine_digest()
+        assert len(components["engine"]) == 64
 
     def test_operational_knobs_do_not_change_key(self):
         # checkpoint + cache placement never changes what a run computes,

@@ -1,5 +1,7 @@
 """The CAS layer: atomic entries, torn-write detection, refcounted gc."""
+import multiprocessing
 import os
+import sys
 
 import pytest
 
@@ -146,3 +148,55 @@ class TestStats:
         assert stats.objects == 2
         assert stats.object_bytes > 0
         assert stats.deduplicated_keys == 0
+
+
+def _put_one_key(directory, barrier, rounds):
+    """Spawned writer: *rounds* puts of one key; exits with the number of
+    puts that raised."""
+    store = CacheStore(directory)
+    barrier.wait()
+    failures = 0
+    for _ in range(rounds):
+        try:
+            store.put(key(), outcome())
+        except OSError:
+            failures += 1
+    sys.exit(min(failures, 100))
+
+
+class TestConcurrentWriters:
+    """``repro run --jobs 2 --repeat 2 --cache-dir D`` stores one key from
+    two fan-out workers at once."""
+
+    def test_two_processes_put_one_key(self, store):
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(2)
+        procs = [ctx.Process(target=_put_one_key,
+                             args=(store.directory, barrier, 200))
+                 for _ in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert store.get(key()).stdout == "hello\n"
+        assert store.verify_store() == []
+        leftovers = [name for d in (store.keys_dir, store.objects_dir)
+                     for name in os.listdir(d) if name.startswith(".tmp-")]
+        assert leftovers == []
+
+    def test_losing_the_rename_to_identical_bytes_succeeds(self, store,
+                                                           monkeypatch):
+        store.put(key(), outcome())
+        real_replace = os.replace
+
+        def vanished(src, dst):
+            os.remove(src)           # e.g. swept before the rename
+            raise FileNotFoundError(src)
+
+        monkeypatch.setattr(os, "replace", vanished)
+        store.put(key(), outcome())  # the same bytes are already there
+        with pytest.raises(FileNotFoundError):
+            store.put(key(), outcome(stdout="other\n"))
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert store.get(key()).stdout == "hello\n"
