@@ -87,6 +87,24 @@ def _atomic_write(path: str, data: bytes) -> None:
     fsync_dir(directory)
 
 
+def _writer_alive(tmp_name: str) -> bool:
+    """Is the process that owns *tmp_name* (``.tmp-<name>.<pid>.<hex>``,
+    as :func:`_atomic_write` names it) still running?"""
+    try:
+        pid = int(tmp_name.rsplit(".", 2)[1])
+    except (IndexError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass   # alive, owned by another user
+    return True
+
+
 @dataclasses.dataclass
 class StoreStats:
     """``repro cache stats`` payload."""
@@ -282,7 +300,9 @@ class CacheStore:
 
         Returns ``{"torn": [...], "unreferenced": [...]}`` (paths
         removed).  Also sweeps leftover dot-tmp files from interrupted
-        writes.
+        writes — only those whose writer is gone: a live writer (a
+        fan-out worker mid-``put``) still owns its tmp file and renames
+        it into place next.
         """
         _stats, torn, refcounts = self._survey()
         unreferenced = [self.object_path(sha256)
@@ -301,7 +321,7 @@ class CacheStore:
             except OSError:
                 continue
             for name in names:
-                if name.startswith(".tmp-"):
+                if name.startswith(".tmp-") and not _writer_alive(name):
                     try:
                         os.remove(os.path.join(directory, name))
                         removed["torn"].append(os.path.join(directory, name))

@@ -75,10 +75,14 @@ class SchedulerBase:
     def remove(self, thread: Thread) -> None:
         raise NotImplementedError
 
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
+    def next_action(self, known_fail=None) -> Tuple[str, Optional[Thread]]:
         """(SERVICE, t): run t's syscall for the first time;
         (PROBE, t): retry a previously-blocked syscall;
-        (WAIT, None): nothing may be serviced yet."""
+        (WAIT, None): nothing may be serviced yet.
+
+        *known_fail(t)* True means the tracer already did a failed probe
+        of t: the scheduler may record it and decide again instead of
+        returning it (or ignore the hook)."""
         raise NotImplementedError
 
     def completed(self, thread: Thread) -> None:
@@ -158,6 +162,16 @@ class LogicalClockScheduler(SchedulerBase):
     candidate can appear — a stop, an epoch bump re-arming the stash —
     clears the gate), so it returns True and the tracer skips the pump.
     The gate is host-only state: snapshots never capture it.
+
+    Known-fail probes: :meth:`next_action` takes the tracer's
+    ``known_fail`` hook.  When the top candidate would get PROBE and
+    passes the bound gate, the hook is asked; True means the tracer has
+    done the failed probe's bookkeeping, and the scheduler applies
+    :meth:`still_blocked`'s mutations and moves the entry to the stash
+    with the pop-and-append the next decision would have made.  The
+    heaps and the stash go through the same states in the same order as
+    when the probe is returned and fails, so snapshots of them — and the
+    checkpoint journal — are unchanged.
     """
 
     def __init__(self):
@@ -264,10 +278,12 @@ class LogicalClockScheduler(SchedulerBase):
 
     # -- decision ------------------------------------------------------------
 
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
+    def next_action(self, known_fail=None) -> Tuple[str, Optional[Thread]]:
         """One pass over both heaps: the live minimum of the stop heap
         (stashing probe-ineligible candidates, discarding dead entries),
-        then the running-bound top that could gate it.
+        then the running-bound top that could gate it; a probe that
+        *known_fail* settles is stashed and the pass continues (see the
+        class docstring).
 
         The validity checks are inlined (rather than going through
         ``Thread.alive`` / ``_is_stopped_at_syscall``) because these
@@ -275,68 +291,77 @@ class LogicalClockScheduler(SchedulerBase):
         scheduling decision: property and call overhead dominates them.
         ``state is TRACE_STOP`` subsumes the liveness check (an exited
         thread is never in TRACE_STOP)."""
-        heap = self._stop_heap
+        stop_heap = self._stop_heap
+        bound_heap = self._bound_heap
+        stash = self._stash
         heappop = heapq.heappop
         index_get = self._index.get
-        fail_get = self._fail_seq.get
+        fail_seq = self._fail_seq
+        fail_get = fail_seq.get
         seq = self._service_seq
         stopped = ThreadState.TRACE_STOP
-        while heap:
-            clock, idx, candidate = heap[0]
-            if (index_get(candidate) != idx
-                    or candidate.state is not stopped
-                    or candidate.current_syscall is None
-                    or candidate.det_clock != clock):
-                heappop(heap)
-                continue
-            if fail_get(candidate) == seq:
-                # Nothing serviced since its last failed probe: park it
-                # until the epoch advances.
-                self._stash.append(heappop(heap))
-                continue
-            break
-        else:
-            self._gated = True
-            self._gate_holder = None
-            return _WAIT_NONE
-        # The smallest (det_bound + SYSCALL_TICK, index) over threads
-        # that could still stop on their own (running, not waiting for
-        # the sibling token, not already stopped).
-        heap = self._bound_heap
         exited = ThreadState.EXITED
-        while heap:
-            bound_key, bidx, other, stamp = heap[0]
-            state = other.state
-            if index_get(other) != bidx or state is exited:
-                heappop(heap)
-                continue
-            if other.token_queued or (state is stopped
-                                      and other.current_syscall is not None):
-                # Temporarily outside the running set; re-pushed on the
-                # token grant / service completion transition.
-                heappop(heap)
-                continue
-            bound = other.det_bound
-            if bound != stamp:
-                # Seccomp-skipped syscalls raise det_bound without a
-                # notify hook: refresh in place (bounds only grow, so
-                # the stale entry surfaces before the fresh one is due).
-                heapq.heapreplace(
-                    heap, (bound + SYSCALL_TICK, bidx, other, bound))
-                continue
-            if bound_key < clock or (bound_key == clock and bidx < idx):
-                # Some running thread could stop with a smaller
-                # deterministic timestamp: servicing now would commit
-                # the wrong order.  Remember who holds the verdict.
+        while True:
+            while stop_heap:
+                clock, idx, candidate = stop_heap[0]
+                if (index_get(candidate) != idx
+                        or candidate.state is not stopped
+                        or candidate.current_syscall is None
+                        or candidate.det_clock != clock):
+                    heappop(stop_heap)
+                    continue
+                if fail_get(candidate) == seq:
+                    # Nothing serviced since its last failed probe: park
+                    # it until the epoch advances.
+                    stash.append(heappop(stop_heap))
+                    continue
+                break
+            else:
                 self._gated = True
-                self._gate_holder = other
-                self._gate_index = bidx
-                self._gate_bound = bound
+                self._gate_holder = None
                 return _WAIT_NONE
-            break
-        if candidate in self._fail_seq:
-            return (PROBE, candidate)
-        return (SERVICE, candidate)
+            # The smallest (det_bound + SYSCALL_TICK, index) over threads
+            # that could still stop on their own (running, not waiting
+            # for the sibling token, not already stopped).
+            while bound_heap:
+                bound_key, bidx, other, stamp = bound_heap[0]
+                state = other.state
+                if index_get(other) != bidx or state is exited:
+                    heappop(bound_heap)
+                    continue
+                if other.token_queued or (state is stopped
+                                          and other.current_syscall is not None):
+                    # Temporarily outside the running set; re-pushed on
+                    # the token grant / service completion transition.
+                    heappop(bound_heap)
+                    continue
+                bound = other.det_bound
+                if bound != stamp:
+                    # Seccomp-skipped syscalls raise det_bound without a
+                    # notify hook: refresh in place (bounds only grow, so
+                    # the stale entry surfaces before the fresh one is
+                    # due).
+                    heapq.heapreplace(
+                        bound_heap, (bound + SYSCALL_TICK, bidx, other, bound))
+                    continue
+                if bound_key < clock or (bound_key == clock and bidx < idx):
+                    # Some running thread could stop with a smaller
+                    # deterministic timestamp: servicing now would commit
+                    # the wrong order.  Remember who holds the verdict.
+                    self._gated = True
+                    self._gate_holder = other
+                    self._gate_index = bidx
+                    self._gate_bound = bound
+                    return _WAIT_NONE
+                break
+            if candidate not in fail_seq:
+                return (SERVICE, candidate)
+            if known_fail is None or not known_fail(candidate):
+                return (PROBE, candidate)
+            # The probe fails again: still_blocked, then the stash.
+            fail_seq[candidate] = seq
+            self._gated = False
+            stash.append(heappop(stop_heap))
 
     def completed(self, thread: Thread) -> None:
         self._bump_epoch()
@@ -402,7 +427,7 @@ class LogicalClockRefScheduler(SchedulerBase):
     def _key(self, thread: Thread) -> Tuple[float, int]:
         return (thread.det_clock, self._index[thread])
 
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
+    def next_action(self, known_fail=None) -> Tuple[str, Optional[Thread]]:
         stopped = sorted(
             (t for t in self._threads if t.alive and _is_stopped_at_syscall(t)),
             key=self._key)
@@ -471,7 +496,7 @@ class StrictQueueScheduler(SchedulerBase):
             except ValueError:
                 pass
 
-    def next_action(self) -> Tuple[str, Optional[Thread]]:
+    def next_action(self, known_fail=None) -> Tuple[str, Optional[Thread]]:
         while self.parallel and _is_stopped_at_syscall(self.parallel[0]):
             self.runnable.append(self.parallel.popleft())
         if self.runnable:

@@ -22,6 +22,7 @@ from ..kernel.costs import (
 )
 from ..kernel.process import Process, Thread
 from ..kernel.types import CpuidResult
+from ..obs.collector import _bucket
 from ..obs.events import DEBUG, TRAP, ObsEvent
 from ..obs.profiler import HANDLER, INTERCEPTION, SCHEDULER
 from ..obs.trace import Span
@@ -35,6 +36,8 @@ from .logical_time import LogicalClock
 from .namespaces import UidGidMap
 from .prng import Lfsr
 from .scheduler import SERVICE, WAIT, make_scheduler
+
+_NEG_INF = float("-inf")
 
 #: What cpuid reports inside the container: a canonical uniprocessor with
 #: no TSX and no hardware randomness (§5.8).
@@ -71,6 +74,11 @@ class DetTraceTracer(TracerBase):
         #: across every service instead of allocated per syscall.
         self._handler_cache: Dict[str, Any] = {}
         self._ctx_cache: Dict[Thread, HandlerContext] = {}
+        #: Threads whose service or probe failed since the current
+        #: pump's last success (None until the first failure).
+        self._failed = None
+        #: The known-fail hook handed to every ``next_action``.
+        self._known_fail_hook = None
 
     @property
     def debug_log(self) -> list:
@@ -84,6 +92,7 @@ class DetTraceTracer(TracerBase):
             enabled=self.config.use_seccomp,
             kernel_version=kernel.host.machine.kernel_version)
         self.sched = make_scheduler(self.config.scheduler)
+        self._known_fail_hook = self._known_fail
 
     # ------------------------------------------------------------------
     # instruction interception (§5.8)
@@ -186,16 +195,25 @@ class DetTraceTracer(TracerBase):
         return self._pump()
 
     def _pump(self) -> bool:
-        """Service/probe stopped threads in the deterministic order."""
+        """Service/probe stopped threads in the deterministic order.
+
+        A thread offered again after failing in this pump (an epoch bump
+        without a success re-armed it) ends the pump; probes settled by
+        the known-fail hook count as failures too (``_failed``)."""
         if self._pumping:
             return False
         self._pumping = True
+        self._failed = None
         progress = False
-        failed_this_pump = set()
+        next_action = self.sched.next_action
+        known_fail = self._known_fail_hook
         try:
             while True:
-                action, thread = self.sched.next_action()
-                if action == WAIT or thread in failed_this_pump:
+                action, thread = next_action(known_fail)
+                if action == WAIT:
+                    break
+                failed = self._failed
+                if failed is not None and thread in failed:
                     break
                 if action == SERVICE:
                     ok = self._service(thread)
@@ -203,9 +221,11 @@ class DetTraceTracer(TracerBase):
                     ok = self._probe(thread)
                 if ok:
                     progress = True
-                    failed_this_pump.clear()
+                    self._failed = None
+                elif failed is None:
+                    self._failed = {thread}
                 else:
-                    failed_this_pump.add(thread)
+                    failed.add(thread)
         finally:
             self._pumping = False
         return progress
@@ -227,14 +247,28 @@ class DetTraceTracer(TracerBase):
         return handler(ctx, thread, call)
 
     def _service(self, thread: Thread) -> bool:
-        self.begin_span()
+        # The context-switch, stop and handler charges, inlined: the
+        # same float additions in the same order as three ``charge``
+        # calls (the clock cannot move in between, and after the first
+        # addition ``busy`` is already past ``now``).
+        now = self.kernel.clock.now
+        busy = self.busy_until
+        if busy <= now:
+            busy = now
+        span = 0.0
+        totals = self.obs.profile.totals
         if thread.process is not self._last_proc:
             self.counters.sched_requests += 1
             self.obs.count(("sched", "context_switch"))
-            self.charge(TRACER_SCHED_COST, SCHEDULER)
+            busy += TRACER_SCHED_COST
+            span += TRACER_SCHED_COST
+            totals[SCHEDULER] = totals.get(SCHEDULER, 0.0) + TRACER_SCHED_COST
             self._last_proc = thread.process
-        self.charge(self.seccomp.stop_cost, INTERCEPTION)
-        self.charge(TRACER_HANDLER_COST, HANDLER)
+        stop_cost = self.seccomp.stop_cost
+        self.busy_until = busy + stop_cost + TRACER_HANDLER_COST
+        self._span_cost = span + stop_cost + TRACER_HANDLER_COST
+        totals[INTERCEPTION] = totals.get(INTERCEPTION, 0.0) + stop_cost
+        totals[HANDLER] = totals.get(HANDLER, 0.0) + TRACER_HANDLER_COST
         thread.obs_attempt += 1
         outcome, payload = self._run_handler(thread)
         if self.config.debug:
@@ -297,32 +331,61 @@ class DetTraceTracer(TracerBase):
             dur=self._span_cost, index=thread.current_syscall_index,
             attempt=thread.obs_attempt))
 
-    def _probe(self, thread: Thread) -> bool:
-        """Re-try a blocked thread's syscall; True if it completed.
+    def _known_fail(self, thread: Thread) -> bool:
+        """Settle a probe of *thread* known to fail; True if settled.
 
-        A passthrough probe whose block stamp still holds
-        (``Kernel.unchanged_block``) is known to fail: it skips the
-        handler, its context and the span call, and keeps every charge,
-        counter and scheduler step of a re-run probe in the same order.
+        Known to fail: ``--debug`` is off, the handler is ``passthrough``
+        (it adds nothing around the body) and the block stamp still
+        holds (``Kernel.unchanged_block``, called through the kernel
+        object).  A step-token holder is declined, which makes the
+        skipped token release a no-op; so is a thread that already
+        failed in this pump, which then ends the pump.  Settling does a
+        re-run probe's bookkeeping in its order — span reset,
+        ``TRACER_REPLAY_COST``, attempt, ``replays_blocking``, blocked
+        span — and leaves the caller only ``still_blocked``.
+        ``next_action`` calls this as its hook; ``_probe`` calls it for
+        schedulers that ignore the hook.
         """
+        failed = self._failed
+        call = thread.current_syscall
+        if (thread.block_stamp is None or self.config.debug
+                or (failed is not None and thread in failed)
+                or self._handler_cache.get(call.name) is not passthrough
+                or getattr(thread.process, "_step_token", None) is thread
+                or self.kernel.unchanged_block(thread, call) is None):
+            return False
+        # A fresh span charged TRACER_REPLAY_COST, inlined as in _service.
+        now = self.kernel.clock.now
+        busy = self.busy_until
+        self.busy_until = (busy if busy > now else now) + TRACER_REPLAY_COST
+        self._span_cost = TRACER_REPLAY_COST
+        totals = self.obs.profile.totals
+        totals[SCHEDULER] = totals.get(SCHEDULER, 0.0) + TRACER_REPLAY_COST
+        thread.obs_attempt += 1
+        self.counters.replays_blocking += 1
+        if self.obs.trace_enabled:
+            self._record_span(thread, call, "blocked")
+        if failed is None:
+            self._failed = {thread}
+        else:
+            failed.add(thread)
+        return True
+
+    def _probe(self, thread: Thread) -> bool:
+        """Re-try a blocked thread's syscall; True if it completed."""
+        if self._known_fail(thread):
+            self.sched.still_blocked(thread)
+            return False
         self.begin_span()
         self.charge(TRACER_REPLAY_COST, SCHEDULER)
         thread.obs_attempt += 1
-        call = thread.current_syscall
-        if (thread.block_stamp is not None and not self.config.debug
-                and self._handler_cache.get(call.name) is passthrough
-                and self.kernel.unchanged_block(thread, call) is not None):
-            self.counters.replays_blocking += 1
-            if self.obs.trace_enabled:
-                self._record_span(thread, call, "blocked")
-        else:
-            outcome, payload = self._run_handler(thread)
-            if outcome != "block":
-                self._emit_span(thread, outcome)
-                self._complete(thread, outcome, payload)
-                return True
-            self.counters.replays_blocking += 1
+        outcome, payload = self._run_handler(thread)
+        if outcome != "block":
             self._emit_span(thread, outcome)
+            self._complete(thread, outcome, payload)
+            return True
+        self.counters.replays_blocking += 1
+        self._emit_span(thread, outcome)
         self.sched.still_blocked(thread)
         self.kernel.release_step_token(thread)
         return False
@@ -330,11 +393,24 @@ class DetTraceTracer(TracerBase):
     def _complete(self, thread: Thread, outcome: str, payload) -> None:
         # Advance the scheduler's service epoch even for exits: an exit is
         # a state change that can unblock wait4 probes.
-        self.sched.completed(thread)
-        blocked = self.sched.blocked_count()
-        self.obs.observe("sched/blocked", blocked)
-        self.obs.gauge_max("sched/blocked_peak", blocked)
-        self.obs.gauge_max("sched/threads_peak", self.sched.live_count())
+        sched = self.sched
+        sched.completed(thread)
+        # Collector.observe and gauge_max, inlined (once per completed
+        # syscall).  Read through self.obs, never cached: a restore
+        # replaces the collector.
+        obs = self.obs
+        blocked = sched.blocked_count()
+        hist = obs.histograms.get("sched/blocked")
+        if hist is None:
+            hist = obs.histograms["sched/blocked"] = {}
+        bucket = _bucket(blocked)
+        hist[bucket] = hist.get(bucket, 0) + 1
+        gauges = obs.gauges
+        if blocked > gauges.get("sched/blocked_peak", _NEG_INF):
+            gauges["sched/blocked_peak"] = blocked
+        live = sched.live_count()
+        if live > gauges.get("sched/threads_peak", _NEG_INF):
+            gauges["sched/threads_peak"] = live
         if outcome == "exited":
             # terminate_process already removed the thread from the
             # scheduler via the exit hooks; nothing to resume.

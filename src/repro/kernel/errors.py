@@ -100,12 +100,16 @@ _MESSAGES = {
 }
 
 
+#: The same messages keyed by plain int, so a lookup builds no enum.
+_MESSAGES_BY_NUMBER = {int(errno): msg for errno, msg in _MESSAGES.items()}
+
+
 def strerror(errno: int) -> str:
     """Return the message for *errno*, like ``strerror(3)``."""
-    try:
-        return _MESSAGES[Errno(errno)]
-    except ValueError:
+    msg = _MESSAGES_BY_NUMBER.get(errno)
+    if msg is None:
         return "Unknown error %d" % errno
+    return msg
 
 
 class SyscallError(Exception):

@@ -199,18 +199,21 @@ class Filesystem:
         if _depth > MAX_SYMLINK_DEPTH:
             raise SyscallError(Errno.ELOOP, "resolve", path)
         node = root if path.startswith("/") else cwd
-        comps = split_path(path)
+        # split_path, Inode.is_dir and Inode.lookup, inlined: this loop
+        # runs once per path component of every uncached resolution.
+        comps = [c for c in path.split("/") if c and c != "."]
+        last = len(comps) - 1
+        directory = FileKind.DIRECTORY
         for i, comp in enumerate(comps):
-            if not node.is_dir:
+            if node.kind is not directory:
                 raise SyscallError(Errno.ENOTDIR, "resolve", path)
             if comp == "..":
                 node = self._parent_of(root, node) or node
                 continue
-            child = node.lookup(comp)
+            child = node.entries.get(comp)
             if child is None:
                 raise SyscallError(Errno.ENOENT, "resolve", path)
-            is_last = i == len(comps) - 1
-            if child.kind is FileKind.SYMLINK and (follow_last or not is_last):
+            if child.kind is FileKind.SYMLINK and (follow_last or i != last):
                 target = child.symlink_target
                 rest = "/".join(comps[i + 1:])
                 newpath = target + ("/" + rest if rest else "")

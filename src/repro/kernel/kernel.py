@@ -77,10 +77,6 @@ class KernelStats:
         #: and divergence reports all agree on coordinates.
         self.recent_syscalls: EventRing = EventRing(RECENT_SYSCALL_WINDOW)
 
-    def count_syscall(self, name: str) -> None:
-        self.syscalls += 1
-        self.syscalls_by_name[name] += 1
-
     def recent_syscall_events(self) -> List[ObsEvent]:
         """The ring as structured events (the crash-forensics view)."""
         return self.recent_syscalls.events()
@@ -465,8 +461,9 @@ class Kernel:
 
     def _step(self, thread: Thread, value: Any, exc: Optional[BaseException]) -> None:
         """Advance the top generator frame and dispatch the yielded op."""
+        exited = ThreadState.EXITED
         while True:
-            if not thread.alive:
+            if thread.state is exited:
                 return
             # Deliver queued signals by pushing handler frames (§5.4).
             if thread.pending_signals:
@@ -513,7 +510,15 @@ class Kernel:
                 self.terminate_process(thread.process, make_exit_status(1))
                 return
             value, exc = None, None
-            # Dispatch the yielded operation.
+            # Dispatch the yielded operation (the op classes are
+            # disjoint, so the order only matters for speed: syscalls
+            # and compute segments first).
+            if isinstance(op, Syscall):
+                self._dispatch_syscall(thread, op)
+                return
+            if isinstance(op, Compute):
+                self._dispatch_compute(thread, op)
+                return
             if isinstance(op, Instr):
                 result = self._execute_instr(thread, op)
                 if result is _SUSPENDED:
@@ -537,12 +542,6 @@ class Kernel:
                     return
                 value = self.vdso.read_vvar()
                 continue
-            if isinstance(op, Compute):
-                self._dispatch_compute(thread, op)
-                return
-            if isinstance(op, Syscall):
-                self._dispatch_syscall(thread, op)
-                return
             raise KernelPanic("guest yielded %r" % (op,))
 
     def _thread_finished(self, thread: Thread, code: int) -> None:
@@ -660,7 +659,9 @@ class Kernel:
         return thread.tid - self.host.pid_start - 50_000
 
     def _dispatch_syscall(self, thread: Thread, call: Syscall) -> None:
-        self.stats.count_syscall(call.name)
+        stats = self.stats
+        stats.syscalls += 1
+        stats.syscalls_by_name[call.name] += 1
         proc = thread.process
         index = proc.syscall_index
         proc.syscall_index = index + 1
@@ -669,7 +670,7 @@ class Kernel:
         # carries it even when an injected signal storm kills the thread
         # before the advance happens.
         det_ts = max(thread.det_clock, thread.det_bound) + SYSCALL_TICK
-        self.stats.recent_syscalls.push(det_ts, proc.nspid, index, call.name)
+        stats.recent_syscalls.push(det_ts, proc.nspid, index, call.name)
         if self.faults is not None:
             self.faults.on_dispatch(self, thread, call, index, vts=det_ts)
             if not thread.alive:
@@ -972,7 +973,7 @@ class Kernel:
         deterministic round-robin, because queue membership only changes
         at serviced events.
         """
-        if not thread.alive:
+        if thread.state is ThreadState.EXITED:
             return
         thread.state = ThreadState.DISPATCH
         thread.current_syscall = None

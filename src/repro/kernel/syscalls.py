@@ -119,6 +119,10 @@ class SyscallTable:
 
     def __init__(self, kernel):
         self.kernel = kernel
+        #: name -> the class's ``sys_<name>`` function, filled on first
+        #: use (functions, not bound methods: no per-name object that
+        #: holds the table, and so the kernel, alive).
+        self._methods: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # dispatch
@@ -132,10 +136,14 @@ class SyscallTable:
             # short transfer.  Probes/retries of the same instance find
             # the slot cleared and run unfaulted.
             call = faults.consume(thread, call)
-        method = getattr(self, "sys_" + call.name, None)
+        name = call.name
+        method = self._methods.get(name)
         if method is None:
-            raise SyscallError(Errno.ENOSYS, call.name)
-        return method(thread, **call.args)
+            method = getattr(type(self), "sys_" + name, None)
+            if method is None:
+                raise SyscallError(Errno.ENOSYS, name)
+            self._methods[name] = method
+        return method(self, thread, **call.args)
 
     # -- small helpers ---------------------------------------------------
 

@@ -204,13 +204,13 @@ def run_jobs(jobs: Sequence[Job], workers: int = 1,
         done = _load_completed(resume_state, ordered)
     pending = [job for job in ordered if repr(job.key) not in done]
     workers = max(1, min(int(workers), len(pending) or 1))
-    if timeout is None and workers > 1 and effective_host_cores() == 1:
-        # Forking a pool on a single effective core only adds process
-        # setup and context-switch overhead (speedup < 1 in practice);
-        # the serial loop produces identical, key-ordered results by
-        # contract, so fall back.  Timeouts still need the pool: a hung
-        # job can only be abandoned in a worker process.
-        workers = 1
+    if timeout is None and workers > 1:
+        # The builds are CPU-bound: workers beyond the effective cores
+        # only add process setup and context switches, and on a single
+        # core the serial loop wins outright.  Results are identical and
+        # key-ordered by contract, so cap.  Timeouts keep the requested
+        # pool: a hung job can only be abandoned in a worker process.
+        workers = min(workers, effective_host_cores())
     if timeout is None and workers == 1:
         # The plain in-process loop: serial-vs-parallel identity tests
         # compare genuinely different execution paths.

@@ -164,6 +164,74 @@ def _put_one_key(directory, barrier, rounds):
     sys.exit(min(failures, 100))
 
 
+def _put_across_gc(directory, written, swept):
+    """Spawned writer: one put that stops with its first tmp file written
+    and fsynced but not yet renamed, until the parent has run gc."""
+    real_replace = os.replace
+
+    def paused(src, dst):
+        written.set()
+        if not swept.wait(60):
+            sys.exit(3)
+        return real_replace(src, dst)
+
+    os.replace = paused
+    try:
+        CacheStore(directory).put(key(), outcome())
+    except OSError:
+        sys.exit(1)
+    sys.exit(0)
+
+
+def _exit_now():
+    pass
+
+
+class TestGcAgainstWriters:
+    """``repro cache gc`` may run while fan-out workers are mid-``put``."""
+
+    def test_gc_keeps_a_live_writers_tmp_file(self, store):
+        ctx = multiprocessing.get_context("spawn")
+        written, swept = ctx.Event(), ctx.Event()
+        writer = ctx.Process(target=_put_across_gc,
+                             args=(store.directory, written, swept))
+        writer.start()
+        try:
+            assert written.wait(60)
+            tmps = [name for name in os.listdir(store.objects_dir)
+                    if name.startswith(".tmp-")]
+            assert len(tmps) == 1
+            removed = store.gc()
+            assert removed == {"torn": [], "unreferenced": []}
+            assert os.listdir(store.objects_dir) == tmps
+        finally:
+            swept.set()
+            writer.join(120)
+        assert writer.exitcode == 0
+        got = store.get(key())
+        assert got is not None and got.stdout == "hello\n"
+        assert store.verify_store() == []
+
+    def test_gc_sweeps_a_dead_writers_tmp_file(self, store):
+        store.put(key(), outcome())
+        ctx = multiprocessing.get_context("spawn")
+        gone = ctx.Process(target=_exit_now)
+        gone.start()
+        gone.join(60)
+        dead = os.path.join(store.keys_dir, ".tmp-%s.key.%d.%s"
+                            % ("0" * 64, gone.pid, "ab" * 6))
+        live = os.path.join(store.keys_dir, ".tmp-%s.key.%d.%s"
+                            % ("1" * 64, os.getpid(), "cd" * 6))
+        for path in (dead, live):
+            with open(path, "wb") as fh:
+                fh.write(b"half-written")
+        removed = store.gc()
+        assert removed["torn"] == [dead]
+        assert not os.path.exists(dead)
+        assert os.path.exists(live)
+        assert store.get(key()) is not None
+
+
 class TestConcurrentWriters:
     """``repro run --jobs 2 --repeat 2 --cache-dir D`` stores one key from
     two fan-out workers at once."""

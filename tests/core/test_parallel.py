@@ -130,6 +130,34 @@ def test_workers_clamped_to_job_count():
     assert run_jobs(jobs, workers=16) == [(0, 25)]
 
 
+@pytest.mark.parametrize("cores, timeout, pool", [
+    (2, None, 2),      # capped at the effective cores
+    (1, None, None),   # one core: the serial loop, no pool at all
+    (2, 30.0, 6),      # a timeout needs the requested pool
+])
+def test_workers_capped_at_effective_cores(monkeypatch, cores, timeout,
+                                           pool):
+    import repro.parallel as parallel
+
+    real_context = parallel.multiprocessing.get_context
+    sizes = []
+
+    class Recording:
+        def __init__(self, method):
+            self.ctx = real_context(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.ctx.Pool(processes=processes)
+
+    monkeypatch.setattr(parallel, "effective_host_cores", lambda: cores)
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", Recording)
+    jobs = [Job(key=k, fn=_square, args=(k,)) for k in range(6)]
+    assert run_jobs(jobs, workers=8, timeout=timeout) \
+        == [(k, k * k) for k in range(6)]
+    assert sizes == ([] if pool is None else [pool])
+
+
 def test_fan_out_preserves_input_order():
     assert fan_out(_tag, [("a", 1), ("b", 2), ("c", 3)], workers=2) \
         == ["a:1", "b:2", "c:3"]

@@ -230,6 +230,130 @@ def test_randomized_lockstep_against_reference():
     assert gated > 50
 
 
+def _decision_state(s):
+    return (list(s._stop_heap), list(s._stash), list(s._bound_heap),
+            dict(s._fail_seq), s._service_seq, s._gated, s._gate_holder,
+            s._gate_index, s._gate_bound)
+
+
+def test_known_fail_hook_equals_probe_then_still_blocked():
+    """A probe settled by ``next_action(known_fail)`` leaves the
+    scheduler exactly as returning it, ``still_blocked`` and deciding
+    again would: same decision, same heaps, stash, fail epochs and gate,
+    after every step of a randomized drive (silent bound commits let a
+    gated WAIT reach the next decision)."""
+    rng = random.Random(4321)
+    settled = 0
+    for trial in range(60):
+        fused, plain = LogicalClockScheduler(), LogicalClockScheduler()
+        threads = []
+        for tid in range(1, 7):
+            t = make_thread(tid, clock=float(rng.randint(0, 3)),
+                            stopped=rng.random() < 0.6)
+            threads.append(t)
+            fused.add(t)
+            plain.add(t)
+        for step in range(100):
+            running = [x for x in threads
+                       if x.alive and x.state is ThreadState.RUNNING]
+            if running and rng.random() < 0.3:
+                t = rng.choice(running)
+                t.det_bound += SYSCALL_TICK * rng.randint(1, 4)
+                if rng.random() < 0.5:   # else seccomp-skipped: silent
+                    assert fused.notify_bound(t) == plain.notify_bound(t)
+            known = {x for x in threads if rng.random() < 0.7}
+            hits = []
+
+            def hook(x):
+                hits.append(x)
+                return x in known
+
+            a_fused = fused.next_action(hook)
+            a_plain = plain.next_action()
+            while a_plain[0] == PROBE and a_plain[1] in known:
+                plain.still_blocked(a_plain[1])
+                a_plain = plain.next_action()
+            assert a_fused == a_plain, (trial, step)
+            assert _decision_state(fused) == _decision_state(plain), (
+                trial, step)
+            settled += sum(x in known for x in hits)
+            action, t = a_fused
+            if action == WAIT:
+                if not running or rng.random() < 0.5:
+                    continue
+                nxt = min(running, key=lambda x: (x.det_bound, x.tid))
+                nxt.det_clock = nxt.det_bound = nxt.det_bound + SYSCALL_TICK
+                nxt.state = ThreadState.TRACE_STOP
+                nxt.current_syscall = Syscall("write", {})
+                fused.notify_stop(nxt)
+                plain.notify_stop(nxt)
+                continue
+            roll = rng.random()
+            if roll < 0.4:
+                fused.still_blocked(t)
+                plain.still_blocked(t)
+            elif roll < 0.45:
+                t.state = ThreadState.EXITED
+                t.current_syscall = None
+                fused.remove(t)
+                plain.remove(t)
+            else:
+                t.current_syscall = None
+                t.state = ThreadState.RUNNING
+                t.det_clock = t.det_bound = t.det_clock + SYSCALL_TICK * (
+                    1 + rng.randint(0, 3))
+                fused.completed(t)
+                plain.completed(t)
+    assert settled > 200
+
+
+def test_settled_probe_clears_a_stale_gate():
+    """A gated WAIT whose holder's bound then rose silently (seccomp-
+    skipped syscalls): the next decision settles the probe at the top
+    and services the one behind it, with the gate cleared exactly as
+    ``still_blocked`` clears it."""
+    schedulers = []
+    for _ in range(2):
+        s = LogicalClockScheduler()
+        blocked = make_thread(1, clock=5.0, stopped=True)
+        holder = make_thread(2, clock=1.0, stopped=False)
+        behind = make_thread(3, clock=5.5, stopped=True)
+        for t in (blocked, holder, behind):
+            s.add(t)
+        s._fail_seq[blocked] = s._service_seq - 1
+        assert s.next_action() == (WAIT, None) and s._gated
+        holder.det_bound = 9.0
+        schedulers.append((s, blocked, behind))
+    (fused, blocked, behind), (plain, blocked2, behind2) = schedulers
+    assert fused.next_action(lambda t: t is blocked) == (SERVICE, behind)
+    assert plain.next_action() == (PROBE, blocked2)
+    plain.still_blocked(blocked2)
+    assert plain.next_action() == (SERVICE, behind2)
+    assert fused._gated is plain._gated is False
+    assert fused._fail_seq[blocked] == plain._fail_seq[blocked2]
+    assert [e[:2] for e in fused._stash] == [e[:2] for e in plain._stash]
+
+
+def test_known_fail_hook_only_sees_probe_candidates():
+    s = LogicalClockScheduler()
+    a = make_thread(1, clock=1.0, stopped=True)
+    b = make_thread(2, clock=2.0, stopped=True)
+    s.add(a)
+    s.add(b)
+    assert s.next_action(lambda t: True) == (SERVICE, a)
+    s.still_blocked(a)
+    s.note_progress()
+    seen = []
+    assert s.next_action(lambda t: seen.append(t) or True) == (SERVICE, b)
+    assert seen == [a] and s._stash == [(1.0, 0, a)]
+    assert s._fail_seq[a] == s._service_seq
+    # The reference and strict schedulers ignore the hook.
+    for kind in ("logical-ref", "strict"):
+        other = make_scheduler(kind)
+        other.add(a)
+        assert other.next_action(lambda t: 1 / 0)[0] in (SERVICE, PROBE)
+
+
 def _gated_wait():
     """A WAIT held by *holder*'s bound: the candidate stopped at 5.0, the
     holder may still stop at 1.0 + tick, the bystander only past 6.0."""

@@ -1,4 +1,15 @@
-from repro.kernel.errors import Errno, GuestCrash, SyscallError, strerror
+import pytest
+
+from repro.kernel.errors import _MESSAGES, Errno, GuestCrash, SyscallError, strerror
+
+
+def _enum_strerror(errno):
+    """strerror as it was written before the int-keyed table: through an
+    Errno enum built per call (the oracle for the table)."""
+    try:
+        return _MESSAGES[Errno(errno)]
+    except ValueError:
+        return "Unknown error %d" % errno
 
 
 class TestErrno:
@@ -15,6 +26,14 @@ class TestErrno:
 
     def test_strerror_unknown(self):
         assert "9999" in strerror(9999)
+
+    @pytest.mark.parametrize("errno", list(Errno) + [9999])
+    def test_strerror_matches_the_enum_lookup(self, errno):
+        for value in (errno, int(errno)):
+            assert strerror(value) == _enum_strerror(value)
+            err = SyscallError(value, "open", "/x")
+            assert str(err) == "open: %s (/x)" % _enum_strerror(value)
+            assert err.args == ("open: %s (/x)" % _enum_strerror(value),)
 
 
 class TestSyscallError:
