@@ -10,15 +10,16 @@ run's outcome.
 
 Key composition (the DESIGN "Cache invariants" contract):
 
-* **image fingerprint** — a Merkle root over the image's installed
-  tree (per-inode leaves covering kind/mode/uid/gid and content or
-  symlink target; one interior node per directory over its name-sorted
-  children — the same shape as :mod:`repro.ckpt.merkle`), composed with
-  digests of every registered guest binary and setup function (see
+* **image fingerprint** — :func:`image_fingerprint`, a digest of what
+  the image *declares*: the working directory, its directories and
+  files (path, mode, content sha256) in declaration order, every
+  registered guest binary and setup function (see
   :func:`_callable_digest`) and every published download URL body.
-  The image is installed into a throwaway kernel under a *pinned
-  canonical host*, so nothing host-jittered (boot epochs, inode bases)
-  can leak into the fingerprint.
+  Nothing is installed to compute it, so no host state (boot epochs,
+  inode bases) can reach it.  A setup function is keyed like a binary,
+  by its code and its bound arguments; one that reads *hidden* inputs
+  (host files, mutable module globals) is not covered by the key, and
+  ``--cache verify`` is the check that catches it.
 * **engine** — :func:`engine_digest`, a sha256 of the package's own
   sources: the kernel, tracer and handlers decide what a run computes
   as much as the guest does, so a fix to any of them retires old
@@ -50,7 +51,7 @@ from ..cpu.machine import HostEnvironment
 
 #: Bumped whenever key composition changes incompatibly: old entries
 #: become unreachable instead of wrongly hit.
-KEY_SCHEMA = 2
+KEY_SCHEMA = 3
 
 #: Config toggles whose *disabling* can let host identity reach the
 #: output surface; with any of these off the full host identity joins
@@ -114,7 +115,8 @@ def _module_digest(module_name: str) -> Optional[str]:
     return digest
 
 
-def _callable_digest(fn: Any, _depth: int = 0) -> str:
+def _callable_digest(fn: Any, reprs: Dict[int, str],
+                     _depth: int = 0) -> str:
     """Digest of a guest binary or setup function.
 
     Code inside the package is covered by :func:`engine_digest`; code
@@ -124,7 +126,9 @@ def _callable_digest(fn: Any, _depth: int = 0) -> str:
     (its repr carries an address), so it never shares an entry across
     processes.  Closure cells and defaults — what ``with_args`` binds —
     are covered by repr (plain data by convention), and callable cells
-    recursively.
+    recursively.  *reprs* memoizes a cell value's repr by object
+    identity for one key computation: an image binds one spec into many
+    binaries, and nothing it holds can change while its key is built.
     """
     qualname = getattr(fn, "__qualname__", None) or repr(fn)
     module = getattr(fn, "__module__", None) or ""
@@ -140,66 +144,45 @@ def _callable_digest(fn: Any, _depth: int = 0) -> str:
         for cell in closure:
             contents = cell.cell_contents
             if callable(contents):
-                h.update(_callable_digest(contents, _depth + 1).encode())
+                h.update(_callable_digest(contents, reprs,
+                                          _depth + 1).encode())
             else:
-                h.update(repr(contents).encode())
+                text = reprs.get(id(contents))
+                if text is None:
+                    text = reprs[id(contents)] = repr(contents)
+                h.update(text.encode())
     defaults = getattr(fn, "__defaults__", None)
     if defaults:
         h.update(repr(defaults).encode())
     return h.hexdigest()
 
 
-def _tree_node_digest(node) -> str:
-    """Merkle digest of one installed inode subtree.
-
-    Leaf = (kind, mode, uid, gid, content-or-target); directory =
-    (leaf, sorted (name, child-digest) sequence).  Timestamps and inode
-    numbers are excluded — under the pinned canonical host they are
-    stable anyway, but they are not image *content*.
-    """
-    h = hashlib.sha256()
-    h.update(("leaf|%s|%o|%d|%d|" % (node.kind.name, node.mode & 0o7777,
-                                     node.uid, node.gid)).encode())
-    if node.is_regular:
-        h.update(bytes(node.data))
-    elif node.kind.name == "SYMLINK":
-        h.update(node.symlink_target.encode())
-    leaf = h.hexdigest()
-    if not node.is_dir:
-        return leaf
-    h = hashlib.sha256()
-    h.update(("dir|" + leaf).encode())
-    for name in sorted(node.entries):
-        h.update(name.encode())
-        h.update(_tree_node_digest(node.entries[name]).encode())
-    return h.hexdigest()
-
-
 def image_fingerprint(image, working_dir: str = "/build") -> str:
-    """Merkle fingerprint of *image*: installed tree + binaries + urls.
+    """Digest of what *image* declares, in this fixed order: the working
+    directory; ``add_dir`` paths in order; ``add_file`` entries in order
+    as (path, mode, content sha256) — a later entry for one path
+    overwrites an earlier one at install, so order is content; binaries
+    sorted by path, each with :func:`_callable_digest`; URLs sorted,
+    each with its body's sha256; setup functions in order, each with
+    :func:`_callable_digest`.
 
-    Installs into a throwaway kernel under a pinned canonical host so
-    the digest is a pure function of the image itself.
+    Everything else :meth:`Image.install` reads is keyed elsewhere: its
+    own code, the binary registry's and the kernel's by
+    :func:`engine_digest`, the host identity files it writes by the
+    machine name in the host component.
     """
-    from ..kernel.kernel import Kernel
-
-    canonical = HostEnvironment(entropy_seed=0, boot_epoch=0.0,
-                                pid_start=1, inode_start=1,
-                                dirent_hash_salt=0)
-    kernel = Kernel(canonical)
-    image.install(kernel, working_dir)
-    h = hashlib.sha256()
-    h.update(b"image|")
-    h.update(_tree_node_digest(kernel.fs.root).encode())
-    for path in sorted(image.registry._programs):
-        h.update(path.encode())
-        h.update(_callable_digest(image.registry._programs[path]).encode())
-    for url in sorted(image._urls):
-        h.update(url.encode())
-        h.update(_sha(image._urls[url]).encode())
-    for fn in image._setup_fns:
-        h.update(_callable_digest(fn).encode())
-    return h.hexdigest()
+    reprs: Dict[int, str] = {}
+    programs = image.registry._programs
+    declaration = [
+        working_dir,
+        list(image._dirs),
+        [(path, mode, _sha(bytes(data))) for path, data, mode in image._files],
+        [(path, _callable_digest(programs[path], reprs))
+         for path in sorted(programs)],
+        [(url, _sha(image._urls[url])) for url in sorted(image._urls)],
+        [_callable_digest(fn, reprs) for fn in image._setup_fns],
+    ]
+    return _sha(json.dumps(declaration).encode("utf-8"))
 
 
 def _host_component(config: ContainerConfig,

@@ -20,16 +20,20 @@ bit-rotted entry is *detected* (length/checksum/format mismatch) and
 reads as a miss, never as a wrong hit.  ``gc`` removes torn files and
 unreferenced objects, counting a refcount per object from the key files
 that name it — the same detect-and-drop posture as journal ``prune``.
+``put`` holds ``flock`` on ``<store>/.lock`` shared and ``gc`` removes
+only under it exclusive, so no ``gc`` sees a ``put`` half done.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import pickle
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..ckpt.journal import fsync_dir
 from .key import RunKey
@@ -140,6 +144,18 @@ class CacheStore:
     def object_path(self, sha256: str) -> str:
         return os.path.join(self.objects_dir, sha256 + _OBJ_SUFFIX)
 
+    @contextlib.contextmanager
+    def _locked(self, operation: int) -> Iterator[None]:
+        """Hold ``flock(operation)`` on the store's lock file."""
+        os.makedirs(self.directory, exist_ok=True)
+        fd = os.open(os.path.join(self.directory, ".lock"),
+                     os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, operation)
+            yield
+        finally:
+            os.close(fd)
+
     # -- write ---------------------------------------------------------
 
     def put(self, key: RunKey, outcome: CachedOutcome) -> str:
@@ -148,6 +164,10 @@ class CacheStore:
         Object first, key second: a crash between the two leaves an
         unreferenced object (gc fodder), never a dangling key.
         """
+        with self._locked(fcntl.LOCK_SH):
+            return self._put(key, outcome)
+
+    def _put(self, key: RunKey, outcome: CachedOutcome) -> str:
         payload = pickle.dumps(outcome.to_payload(),
                                protocol=pickle.HIGHEST_PROTOCOL)
         sha256 = _sha(payload)
@@ -295,26 +315,36 @@ class CacheStore:
     def stats(self) -> StoreStats:
         return self._survey()[0]
 
+    def _garbage(self) -> Tuple[List[str], List[str]]:
+        """(torn or dangling paths, unreferenced object paths)."""
+        _stats, torn, refcounts = self._survey()
+        return torn, [self.object_path(sha256)
+                      for sha256, n in sorted(refcounts.items()) if n == 0]
+
     def gc(self) -> Dict[str, List[str]]:
         """Remove torn files, dangling keys and unreferenced objects.
 
         Returns ``{"torn": [...], "unreferenced": [...]}`` (paths
-        removed).  Also sweeps leftover dot-tmp files from interrupted
-        writes — only those whose writer is gone: a live writer (a
-        fan-out worker mid-``put``) still owns its tmp file and renames
-        it into place next.
+        removed).  A ``put`` between its object and key renames looks
+        exactly like garbage, so when the first survey finds any, gc
+        takes the store lock exclusive — waiting out in-flight puts —
+        and removes only what a second survey under the lock confirms.
+        Also sweeps leftover dot-tmp files from interrupted writes —
+        only those whose writer is gone: a live writer (a fan-out
+        worker mid-``put``) still owns its tmp file and renames it into
+        place next.
         """
-        _stats, torn, refcounts = self._survey()
-        unreferenced = [self.object_path(sha256)
-                        for sha256, n in sorted(refcounts.items()) if n == 0]
         removed: Dict[str, List[str]] = {"torn": [], "unreferenced": []}
-        for bucket, paths in (("torn", torn), ("unreferenced", unreferenced)):
-            for path in paths:
-                try:
-                    os.remove(path)
-                    removed[bucket].append(path)
-                except OSError:
-                    pass
+        if any(self._garbage()):
+            with self._locked(fcntl.LOCK_EX):
+                for bucket, paths in zip(("torn", "unreferenced"),
+                                         self._garbage()):
+                    for path in paths:
+                        try:
+                            os.remove(path)
+                            removed[bucket].append(path)
+                        except OSError:
+                            pass
         for directory in (self.keys_dir, self.objects_dir):
             try:
                 names = os.listdir(directory)

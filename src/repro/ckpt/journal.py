@@ -82,8 +82,10 @@ def snapshot_path(directory: str, barrier: int) -> str:
 def write_snapshot(directory: str, barrier: int, vclock: float,
                    fingerprint: str, payload: bytes,
                    snapshot_kind: str = "full", base_sha256: str = "",
-                   chain_depth: int = 0, durable: bool = True) -> str:
-    """Atomically persist *payload* as the snapshot for *barrier*.
+                   chain_depth: int = 0,
+                   durable: bool = True) -> Tuple[str, str]:
+    """Atomically persist *payload* as the snapshot for *barrier*;
+    returns ``(path, payload sha256)``.
 
     ``durable=False`` skips both fsyncs (group commit): the write is
     still atomic-via-rename and checksummed, but a host crash may lose
@@ -95,13 +97,14 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
     durability barriers.
     """
     os.makedirs(directory, exist_ok=True)
+    digest = hashlib.sha256(payload).hexdigest()
     header = json.dumps({
         "format": FORMAT_VERSION,
         "barrier": barrier,
         "vclock": vclock,
         "fingerprint": fingerprint,
         "payload_len": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest,
         "snapshot_kind": snapshot_kind,
         "base_sha256": base_sha256,
         "chain_depth": chain_depth,
@@ -118,7 +121,7 @@ def write_snapshot(directory: str, barrier: int, vclock: float,
     os.rename(tmp, final)
     if durable:
         _fsync_dir(directory)
-    return final
+    return final, digest
 
 
 def fsync_dir(directory: str) -> None:
@@ -191,14 +194,16 @@ def load_snapshot(path: str,
     return header, payload
 
 
-def scan(directory: str,
-         fingerprint: Optional[str] = None) -> List[SnapshotInfo]:
+def scan(directory: str, fingerprint: Optional[str] = None,
+         payloads: Optional[Dict[str, bytes]] = None) -> List[SnapshotInfo]:
     """Scan the journal, newest barrier first, validating every file.
 
     Per-file validation (length/checksum/fingerprint) fills ``valid``;
     a second pass resolves every delta's base by ``base_sha256`` and
     fills ``chain_valid`` transitively, so callers can tell a readable
-    delta from a *materializable* one.
+    delta from a *materializable* one.  When *payloads* is given, the
+    validated payload bytes of every valid file are kept in it by path,
+    so a caller never reads or hashes a file twice.
     """
     try:
         names = os.listdir(directory)
@@ -212,7 +217,7 @@ def scan(directory: str,
         path = os.path.join(directory, name)
         info = SnapshotInfo(path=path)
         try:
-            header, _payload = load_snapshot(path, fingerprint=fingerprint)
+            header, payload = load_snapshot(path, fingerprint=fingerprint)
             info.barrier = int(header.get("barrier", -1))
             info.vclock = float(header.get("vclock", 0.0))
             info.fingerprint = str(header.get("fingerprint", ""))
@@ -222,6 +227,8 @@ def scan(directory: str,
             info.chain_depth = int(header.get("chain_depth", 0))
             info.payload_sha256 = str(header.get("payload_sha256", ""))
             info.valid = True
+            if payloads is not None:
+                payloads[path] = payload
         except JournalError as err:
             info.error = str(err)
             try:

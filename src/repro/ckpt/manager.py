@@ -21,7 +21,6 @@ skip torn/corrupt files, hand back the newest valid snapshot.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -179,10 +178,9 @@ class CheckpointManager:
         tick = kernel.stats.events_processed
         payload = capture(kernel, tape_encoded=self._encode_tape_tail())
         blob = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        path = journal.write_snapshot(
+        path, self._last_payload_sha = journal.write_snapshot(
             self.directory, tick, kernel.clock.now, self.fingerprint, blob)
         self._section_hashes = section_hashes(payload)
-        self._last_payload_sha = hashlib.sha256(blob).hexdigest()
         self._last_chain_depth = 0
         self._since_full = 0
         self._last_tape_len = len(self.tape)
@@ -199,12 +197,11 @@ class CheckpointManager:
             kernel, self._section_hashes, self._last_tape_len,
             self._device_paths, tape_encoded=self._encode_tape_tail())
         blob = pickle.dumps(delta, pickle.HIGHEST_PROTOCOL)
-        path = journal.write_snapshot(
+        path, self._last_payload_sha = journal.write_snapshot(
             self.directory, tick, kernel.clock.now, self.fingerprint, blob,
             snapshot_kind="delta", base_sha256=self._last_payload_sha,
             chain_depth=self._last_chain_depth + 1, durable=durable)
         self._section_hashes = new_hashes
-        self._last_payload_sha = hashlib.sha256(blob).hexdigest()
         self._last_chain_depth += 1
         self._since_full += 1
         self._last_tape_len = len(self.tape)
@@ -247,17 +244,30 @@ class RecoveryManager:
         return journal.latest_valid(self.directory,
                                     fingerprint=self.fingerprint)
 
-    def _read_payload(self, info: journal.SnapshotInfo) -> Dict[str, Any]:
-        _header, blob = journal.load_snapshot(
-            info.path, fingerprint=self.fingerprint)
+    def _scan_payloads(self) -> Tuple[List[journal.SnapshotInfo],
+                                      Dict[str, bytes]]:
+        """One validating scan that keeps every valid payload by path:
+        each recovery operation reads and hashes each file once."""
+        payloads: Dict[str, bytes] = {}
+        infos = journal.scan(self.directory, fingerprint=self.fingerprint,
+                             payloads=payloads)
+        return infos, payloads
+
+    def _read_payload(self, info: journal.SnapshotInfo,
+                      payloads: Dict[str, bytes]) -> Dict[str, Any]:
+        # Popped, so the bytes are freed once decoded.  A path not here
+        # (invalid in the scan, or decoded before) is read and validated
+        # again from disk.
+        blob = payloads.pop(info.path, None)
+        if blob is None:
+            _header, blob = journal.load_snapshot(
+                info.path, fingerprint=self.fingerprint)
         return pickle.loads(blob)
 
     def _chain_of(self, info: journal.SnapshotInfo,
-                  infos: Optional[List[journal.SnapshotInfo]] = None,
+                  infos: List[journal.SnapshotInfo],
                   ) -> List[journal.SnapshotInfo]:
         """*info*'s chain, full base first, ending at *info* itself."""
-        if infos is None:
-            infos = self.scan()
         by_sha = {i.payload_sha256: i for i in infos
                   if i.valid and i.payload_sha256}
         chain = [info]
@@ -276,13 +286,18 @@ class RecoveryManager:
 
     def materialize(self, info: journal.SnapshotInfo,
                     infos: Optional[List[journal.SnapshotInfo]] = None,
+                    payloads: Optional[Dict[str, bytes]] = None,
                     ) -> Dict[str, Any]:
         """The full payload at *info*'s barrier: its base plus every
         delta in the chain, composed in order."""
+        if infos is None:
+            infos, payloads = self._scan_payloads()
+        payloads = payloads if payloads is not None else {}
         chain = self._chain_of(info, infos)
-        payload = self._read_payload(chain[0])
+        payload = self._read_payload(chain[0], payloads)
         for link in chain[1:]:
-            payload = materialize_delta(payload, self._read_payload(link))
+            payload = materialize_delta(payload,
+                                        self._read_payload(link, payloads))
         return payload
 
     def load(self, info: Optional[journal.SnapshotInfo] = None,
@@ -292,12 +307,13 @@ class RecoveryManager:
         A delta snapshot is materialized against its chain; a missing
         or torn base raises :class:`JournalError` naming the base.
         """
+        infos, payloads = self._scan_payloads()
         if info is None:
-            info = self.latest()
+            info = next((i for i in infos if i.chain_valid), None)
         if info is None:
             raise journal.JournalError(
                 "no valid snapshot in %s" % self.directory)
-        return info, self.materialize(info)
+        return info, self.materialize(info, infos, payloads)
 
     def snapshots(self) -> List[Snapshot]:
         """Every materializable snapshot as a live :class:`Snapshot`,
@@ -305,21 +321,21 @@ class RecoveryManager:
         ``repro ckpt verify`` fingerprint.  Delta chains are composed
         incrementally: each barrier's payload builds on the previous
         materialization instead of re-reading the whole chain."""
-        infos = self.scan()
+        infos, payloads = self._scan_payloads()
         by_sha: Dict[str, Dict[str, Any]] = {}
         out: List[Snapshot] = []
         for info in reversed(infos):  # oldest barrier first
             if not info.chain_valid:
                 continue
             if info.snapshot_kind != "delta":
-                payload = self._read_payload(info)
+                payload = self._read_payload(info, payloads)
             else:
                 base = by_sha.get(info.base_sha256)
                 if base is None:
-                    payload = self.materialize(info, infos)
+                    payload = self.materialize(info, infos, payloads)
                 else:
                     payload = materialize_delta(
-                        base, self._read_payload(info))
+                        base, self._read_payload(info, payloads))
             by_sha[info.payload_sha256] = payload
             out.append(Snapshot(barrier=info.barrier, vclock=info.vclock,
                                 payload=payload, path=info.path))
@@ -331,21 +347,22 @@ class RecoveryManager:
         snapshot, computed with an incremental Merkle cursor: one full
         tree build per chain, then O(changed) per delta — the fast path
         checkpoint bisection probes through."""
-        infos = self.scan()
+        infos, payloads = self._scan_payloads()
         cursors: Dict[str, MerkleCursor] = {}
         out: Dict[int, Tuple[str, float]] = {}
         for info in reversed(infos):  # oldest barrier first
             if not info.chain_valid:
                 continue
             if info.snapshot_kind != "delta":
-                cursor = MerkleCursor(self._read_payload(info), scope=scope)
+                cursor = MerkleCursor(self._read_payload(info, payloads),
+                                      scope=scope)
             else:
                 cursor = cursors.pop(info.base_sha256, None)
                 if cursor is None:
-                    cursor = MerkleCursor(self.materialize(info, infos),
-                                          scope=scope)
+                    cursor = MerkleCursor(
+                        self.materialize(info, infos, payloads), scope=scope)
                 else:
-                    cursor.advance(self._read_payload(info))
+                    cursor.advance(self._read_payload(info, payloads))
             cursors[info.payload_sha256] = cursor
             out[info.barrier] = (cursor.root, info.vclock)
         return out

@@ -217,11 +217,15 @@ def _capture_runtime(kernel) -> Tuple[
     referenced: Dict[Tuple[int, int], Tuple[Inode, Optional[str]]] = {}
 
     # -- open file descriptions (shared by identity across fdtables) ----
+    # Keyed by discovery index, never by ``id(of)``: host addresses in
+    # the payload would make two identical runs journal different bytes.
     of_records: Dict[int, Dict[str, Any]] = {}
+    of_index: Dict[int, int] = {}
 
     def visit_of(of: OpenFile) -> int:
-        key = id(of)
-        if key not in of_records:
+        key = of_index.get(id(of))
+        if key is None:
+            key = of_index[id(of)] = len(of_records)
             if getattr(of, "socket", None) is not None:
                 # In-guest loopback/unix sockets are plain pipe-backed
                 # descriptions and snapshot fine; only the fake
@@ -1300,7 +1304,8 @@ def _canonical_maps(payload: Dict[str, Any],
     * pipe ids come from a *process-global* counter
       (``Pipe._counter``), so the Nth run in one interpreter hands out
       different ids than the first for identical state;
-    * open-file-description keys are ``id(of)`` memory addresses.
+    * open-file-description keys are capture-order indices, but
+      journals written before that keyed them by ``id(of)``.
 
     Both are remapped to dense, deterministic indices (pipes by sorted
     creation order, descriptions by capture order, which follows the

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...core.config import ContainerConfig
 from ...core.container import ContainerResult, DetTrace, NativeRunner
@@ -31,6 +29,11 @@ from ...core.image import Image
 from ...cpu.machine import HASWELL_XEON, HostEnvironment
 from ...guest.program import with_args
 from ...kernel.errors import Errno, SyscallError
+
+# Only the guest code needs numpy, so only it imports numpy: importing
+# ``repro.workloads`` should not pay for it.
+if TYPE_CHECKING:
+    import numpy as np
 
 LOSS_FILE = "losses.txt"
 
@@ -63,6 +66,8 @@ CIFAR10 = TfConfig(name="cifar10", shard_work=1.6e-3, lock_rounds=1,
 
 def _dataset(cfg: TfConfig) -> np.ndarray:
     """Deterministic synthetic training data (an *input*)."""
+    import numpy as np
+
     seed = int.from_bytes(hashlib.sha256(cfg.name.encode()).digest()[:4], "big")
     rng = np.random.RandomState(seed)
     return rng.standard_normal((256, cfg.features)).astype(np.float32)
@@ -87,6 +92,8 @@ def _sample_indices(seed: int, n: int, count: int) -> List[int]:
 def _shard_gradient(data: np.ndarray, weights: np.ndarray,
                     indices: List[int]) -> np.ndarray:
     """Least-squares gradient for one shard, in float32."""
+    import numpy as np
+
     x = data[indices]
     target = np.float32(1.0)
     err = (x @ weights) - target
@@ -95,6 +102,8 @@ def _shard_gradient(data: np.ndarray, weights: np.ndarray,
 
 def tf_worker(sys, cfg: TfConfig, shard_indices):
     """One pool thread: drain the shard queue, accumulate gradients."""
+    import numpy as np
+
     data = sys.mem["tf_data"]
     weights = sys.mem["tf_weights"]
     while True:
@@ -125,6 +134,8 @@ def tf_worker(sys, cfg: TfConfig, shard_indices):
 
 def tf_main(sys, cfg: TfConfig):
     """The training driver."""
+    import numpy as np
+
     data = _dataset(cfg)
     sys.mem["tf_data"] = data
     weights = np.zeros(cfg.features, dtype=np.float32)

@@ -1,14 +1,18 @@
 """Run-key semantics and the memoized DetTrace run path."""
 import importlib
+import os
+import subprocess
 import sys
 
 import pytest
 
-from repro.cache import RunCache, run_key
+import repro
+from repro.cache import KEY_SCHEMA, RunCache, image_fingerprint, run_key
 from repro.cache.key import engine_digest
 from repro.core import CacheConfig, ContainerConfig, DetTrace, Image, ablated
 from repro.core.config import CheckpointConfig
 from repro.cpu.machine import HASWELL_XEON, HostEnvironment
+from repro.guest.program import with_args
 
 pytestmark = pytest.mark.cache
 
@@ -115,6 +119,158 @@ class TestRunKey:
     def test_machine_spec_always_in_key(self):
         assert (_key(host=HostEnvironment())
                 != _key(host=HostEnvironment(machine=HASWELL_XEON)))
+
+
+def _greet(sys, greeting):
+    yield from sys.println(greeting)
+    return 0
+
+
+def _source_setup(name):
+    def setup(kernel, build_dir):
+        kernel.fs.write_file(build_dir + "/" + name, b"int main;\n",
+                             now=kernel.host.boot_epoch)
+    return setup
+
+
+def _declared(extra_dir="/srv", file_path="/etc/extra", file_data=b"one\n",
+              file_mode=0o644, binary_path="/bin/main", greeting="hello",
+              url="http://mirror/pkg.tar", url_body=b"payload",
+              source="a.c") -> Image:
+    """An image exercising every declaration the key covers."""
+    image = Image()
+    image.add_dir(extra_dir)
+    image.add_file(file_path, file_data, mode=file_mode)
+    image.add_binary(binary_path, with_args(_greet, greeting))
+    image.add_url(url, url_body)
+    image.on_setup(_source_setup(source))
+    return image
+
+
+_DECLARATION_EDITS = {
+    "add_dir": {"extra_dir": "/opt"},
+    "file path": {"file_path": "/etc/other"},
+    "file bytes": {"file_data": b"two\n"},
+    "file mode": {"file_mode": 0o755},
+    "binary path": {"binary_path": "/bin/other"},
+    "binary bound argument": {"greeting": "HELLO"},
+    "url": {"url": "http://mirror/other.tar"},
+    "url body": {"url_body": b"other"},
+    "setup bound argument": {"source": "b.c"},
+}
+
+
+class TestImageDeclarationKey:
+    """The image component hashes what the image declares."""
+
+    def test_schema(self):
+        assert KEY_SCHEMA == 3
+
+    @pytest.mark.parametrize("edit", sorted(_DECLARATION_EDITS))
+    def test_each_declaration_moves_the_key(self, edit):
+        base = image_fingerprint(_declared())
+        assert image_fingerprint(_declared(**_DECLARATION_EDITS[edit])) != base
+        assert (_key(image=_declared(**_DECLARATION_EDITS[edit]))
+                != _key(image=_declared()))
+
+    def test_working_dir_moves_the_key(self):
+        assert (image_fingerprint(_declared(), "/build")
+                != image_fingerprint(_declared(), "/src"))
+
+    def test_later_file_overwrites_earlier_so_order_moves_the_key(self):
+        first, second = _declared(), _declared()
+        first.add_file("/etc/motd", "a\n")
+        first.add_file("/etc/motd", "b\n")
+        second.add_file("/etc/motd", "b\n")
+        second.add_file("/etc/motd", "a\n")
+        assert image_fingerprint(first) != image_fingerprint(second)
+
+    def test_setup_order_and_count_move_the_key(self):
+        ab, ba, once = _declared(), _declared(), _declared()
+        ab.on_setup(_source_setup("x.c"))
+        ab.on_setup(_source_setup("y.c"))
+        ba.on_setup(_source_setup("y.c"))
+        ba.on_setup(_source_setup("x.c"))
+        once.on_setup(_source_setup("x.c"))
+        digests = {image_fingerprint(image) for image in (ab, ba, once)}
+        assert len(digests) == 3
+
+    def test_separately_built_equal_images_share_a_key(self):
+        assert image_fingerprint(_declared()) == image_fingerprint(_declared())
+        assert _key(image=_declared()) == _key(image=_declared())
+
+    def test_setup_edit_outside_the_package_moves_the_key(
+            self, tmp_path, monkeypatch):
+        source = (
+            "def setup(kernel, build_dir):\n"
+            "    kernel.fs.write_file(build_dir + '/seed', %r,\n"
+            "                         now=kernel.host.boot_epoch)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        keys = []
+        for seed in (b"one", b"two"):
+            (tmp_path / "edited_setup.py").write_text(source % seed)
+            sys.modules.pop("edited_setup", None)
+            importlib.invalidate_caches()
+            module = importlib.import_module("edited_setup")
+            for _ in range(2):
+                image = _image()
+                image.on_setup(module.setup)
+                keys.append(_key(image=image))
+        sys.modules.pop("edited_setup", None)
+        assert keys[0] == keys[1] and keys[2] == keys[3]
+        assert keys[0] != keys[2]
+
+    def test_package_image_key_is_stable_across_processes(self):
+        """A fresh interpreter, under another hash seed, builds the same
+        Debian package image and computes the same key."""
+        code = (
+            "from repro.cache import run_key\n"
+            "from repro.core import ContainerConfig\n"
+            "from repro.cpu.machine import HostEnvironment\n"
+            "from repro.workloads.debian import generate_population, "
+            "package_image\n"
+            "spec = generate_population(4, seed=5)[1]\n"
+            "print(run_key(package_image(spec), ContainerConfig(), "
+            "'/usr/bin/dpkg-buildpackage', None, HostEnvironment()))\n")
+        from repro.workloads.debian import generate_population, package_image
+
+        spec = generate_population(4, seed=5)[1]
+        here = str(run_key(package_image(spec), ContainerConfig(),
+                           "/usr/bin/dpkg-buildpackage", None,
+                           HostEnvironment()))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == here
+
+    def test_warm_hit_installs_nothing(self, tmp_path, monkeypatch):
+        """The key is computed from the declaration: a hit builds no
+        kernel and installs no image."""
+        from repro.kernel.kernel import Kernel
+
+        cfg = ContainerConfig(cache=CacheConfig(directory=str(tmp_path)))
+        assert DetTrace(cfg).run(_declared(), "/bin/main").cache[
+            "outcome"] == "store"
+        calls = []
+        real_init, real_install = Kernel.__init__, Image.install
+
+        def kernel_init(self, *args, **kwargs):
+            calls.append("Kernel")
+            real_init(self, *args, **kwargs)
+
+        def install(self, *args, **kwargs):
+            calls.append("install")
+            real_install(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "__init__", kernel_init)
+        monkeypatch.setattr(Image, "install", install)
+        hit = DetTrace(cfg).run(_declared(), "/bin/main")
+        assert hit.cache["outcome"] == "hit"
+        assert calls == []
 
 
 class TestMemoizedRun:

@@ -2,6 +2,7 @@
 import multiprocessing
 import os
 import sys
+import threading
 
 import pytest
 
@@ -183,6 +184,28 @@ def _put_across_gc(directory, written, swept):
     sys.exit(0)
 
 
+def _put_paused(directory, at, reached, resume):
+    """Spawned writer: one put that stops just before its *at*-th rename
+    (0: the object's, 1: the key's) until the parent resumes it."""
+    real_replace = os.replace
+    calls = []
+
+    def paused(src, dst):
+        if len(calls) == at:
+            reached.set()
+            if not resume.wait(60):
+                sys.exit(3)
+        calls.append(dst)
+        return real_replace(src, dst)
+
+    os.replace = paused
+    try:
+        CacheStore(directory).put(key(), outcome())
+    except OSError:
+        sys.exit(1)
+    sys.exit(0)
+
+
 def _exit_now():
     pass
 
@@ -208,6 +231,62 @@ class TestGcAgainstWriters:
             swept.set()
             writer.join(120)
         assert writer.exitcode == 0
+        got = store.get(key())
+        assert got is not None and got.stdout == "hello\n"
+        assert store.verify_store() == []
+
+    def _paused_writer(self, store, at):
+        ctx = multiprocessing.get_context("spawn")
+        reached, resume = ctx.Event(), ctx.Event()
+        writer = ctx.Process(target=_put_paused,
+                             args=(store.directory, at, reached, resume))
+        writer.start()
+        assert reached.wait(60)
+        return writer, resume
+
+    def test_gc_between_object_and_key_rename_keeps_the_object(self, store):
+        """The fresh object is on disk and no key names it yet: gc must
+        wait for the put instead of dropping the object."""
+        writer, resume = self._paused_writer(store, at=1)
+        removed = {}
+        sweeper = threading.Thread(target=lambda: removed.update(store.gc()))
+        try:
+            sweeper.start()
+            sweeper.join(1.0)
+        finally:
+            resume.set()
+            writer.join(120)
+            sweeper.join(120)
+        assert writer.exitcode == 0
+        assert removed == {"torn": [], "unreferenced": []}
+        got = store.get(key())
+        assert got is not None and got.stdout == "hello\n"
+        assert store.verify_store() == []
+
+    def test_gc_listing_across_a_whole_put_keeps_the_key(self, store,
+                                                          monkeypatch):
+        """gc lists objects before a put's object rename and keys after
+        its key rename: the fresh key looks dangling, and gc must not
+        drop it."""
+        writer, resume = self._paused_writer(store, at=0)
+        real_listdir = CacheStore._listdir
+        crossed = []
+
+        def listdir(self, directory, suffix):
+            if directory == self.keys_dir and not crossed:
+                crossed.append(directory)
+                resume.set()
+                writer.join(120)
+            return real_listdir(self, directory, suffix)
+
+        monkeypatch.setattr(CacheStore, "_listdir", listdir)
+        try:
+            removed = store.gc()
+        finally:
+            resume.set()
+            writer.join(120)
+        assert crossed and writer.exitcode == 0
+        assert removed == {"torn": [], "unreferenced": []}
         got = store.get(key())
         assert got is not None and got.stdout == "hello\n"
         assert store.verify_store() == []

@@ -169,3 +169,90 @@ class TestPrune:
         info, payload = RecoveryManager(journal_dir).load()
         assert payload["kind"] == "repro.ckpt.payload"
         assert info.barrier == max(i.barrier for i in infos)
+
+
+class TestJournalBytes:
+    def test_identical_builds_write_identical_journals(self, tmp_path,
+                                                       monkeypatch):
+        """A journal is a pure function of the run: two identical
+        checkpointed package builds in one interpreter write the same
+        bytes, open-file records included."""
+        from repro.core import ContainerConfig
+        from repro.core.config import CheckpointConfig
+        from repro.faults.plan import FaultPlan, FaultRule
+        from repro.kernel.pipes import Pipe
+        from repro.repro_tools import first_build_host
+        from repro.workloads.debian import (
+            TOOLS,
+            generate_population,
+            package_image,
+        )
+
+        spec = [s for s in generate_population(12, seed=33)
+                if not s.expect_dt_unsupported and not s.syscall_storm][0]
+        journals = []
+        for run in range(2):
+            directory = str(tmp_path / ("journal%d" % run))
+            # Pipe ids come from a process-global counter (see
+            # snapshot._canonical_maps): start both runs from one value.
+            monkeypatch.setattr(Pipe, "_counter", 0)
+            cfg = ContainerConfig(
+                fault_plan=FaultPlan(rules=(FaultRule(
+                    fault="kill", at_tick=300, transient=True),)),
+                checkpoint=CheckpointConfig(directory=directory, every=20,
+                                            keep=0, full_every=4))
+            killed = DetTrace(cfg).run(
+                package_image(spec), TOOLS["driver"],
+                argv=["dpkg-buildpackage", spec.name],
+                host=first_build_host())
+            assert killed.status == "crashed"
+            files = {}
+            for name in sorted(os.listdir(directory)):
+                with open(os.path.join(directory, name), "rb") as fh:
+                    files[name] = fh.read()
+            journals.append(files)
+        assert len(journals[0]) > 5
+        assert journals[0] == journals[1]
+
+
+class TestRecoveryReads:
+    @pytest.mark.parametrize("operation", ["load", "snapshots",
+                                           "chain_fingerprints"])
+    def test_each_journal_file_is_read_once(self, journal_dir, monkeypatch,
+                                            operation):
+        from repro.ckpt import journal
+
+        _crash(journal_dir, every=7, full_every=4, keep=0)
+        files = sorted(os.listdir(journal_dir))
+        assert len(files) >= 8
+        reads = []
+        real_load = journal.load_snapshot
+
+        def counting(path, fingerprint=None):
+            reads.append(os.path.basename(path))
+            return real_load(path, fingerprint=fingerprint)
+
+        monkeypatch.setattr(journal, "load_snapshot", counting)
+        getattr(RecoveryManager(journal_dir), operation)()
+        assert sorted(reads) == files
+
+    def test_torn_delta_is_read_once_and_skipped(self, journal_dir,
+                                                 monkeypatch):
+        from repro.ckpt import journal
+
+        _crash(journal_dir, every=7, full_every=4, keep=0)
+        newest = scan(journal_dir)[0]
+        assert newest.snapshot_kind == "delta"
+        _truncate(newest.path)
+        reads = []
+        real_load = journal.load_snapshot
+
+        def counting(path, fingerprint=None):
+            reads.append(path)
+            return real_load(path, fingerprint=fingerprint)
+
+        monkeypatch.setattr(journal, "load_snapshot", counting)
+        info, _payload = RecoveryManager(journal_dir).load()
+        assert info.barrier < newest.barrier
+        assert reads.count(newest.path) == 1
+        assert len(reads) == len(os.listdir(journal_dir))

@@ -18,8 +18,9 @@ FP = "cfg-fingerprint"
 
 
 def _write(directory, barrier, payload=b"payload-bytes", fp=FP):
-    return write_snapshot(directory, barrier, vclock=barrier * 0.5,
-                          fingerprint=fp, payload=payload)
+    path, _digest = write_snapshot(directory, barrier, vclock=barrier * 0.5,
+                                   fingerprint=fp, payload=payload)
+    return path
 
 
 def test_round_trip(journal_dir):

@@ -1,6 +1,11 @@
 """The TensorFlow analog (SS7.6)."""
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cpu.machine import HASWELL_XEON, HostEnvironment
 from repro.workloads.ml import (
     ALEXNET,
@@ -77,3 +82,19 @@ class TestPerformanceShape:
             dt = run_dettrace(cfg, host=host(1)).wall_time
             ratios[cfg.name] = dt / ser
         assert ratios["alexnet"] > ratios["cifar10"]
+
+
+def test_importing_the_program_leaves_numpy_unloaded():
+    """Only the TF analog's guest code needs numpy; importing the
+    package (the TF module included) must not load it."""
+    code = ("import sys\n"
+            "import repro.core, repro.cache, repro.ckpt\n"
+            "import repro.workloads.debian, repro.workloads.bioinf\n"
+            "import repro.workloads.ml\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
